@@ -40,7 +40,6 @@ from .certify import (
     certify_max,
     certify_min,
     exact_factor,
-    fm_cross_check,
     lp_feasible,
     semantic_degree,
 )

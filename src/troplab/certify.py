@@ -14,13 +14,13 @@ generator set?  Everything else reduces to it:
 * the semantic degree of a monotone boolean circuit is the least r
   with rA tightly above conv(B), computed minterm by minterm.
 
-Queries are preprocessed with exactness-preserving reductions before
-the rational simplex runs: support filtering (mandatory for "above" and
-tight queries), coordinate restriction to supp(u), projection dedup,
-and a single-generator dominance fast path.  Every returned witness is
-re-verified by direct arithmetic; with cross-checking enabled, every
-feasibility verdict on at most 12 generators is replayed through the
-independent Fourier-Motzkin oracle.
+Every query, feasibility or scale, is one LP shape (_combination_lp):
+convex multipliers over the distinct projections of the admissible
+generators onto supp(u).  Support filtering is mandatory for "above"
+and tight queries; a single-generator dominance fast path answers
+before the rational simplex runs.  Every returned witness is re-verified
+by direct arithmetic; the test suite additionally replays small
+verdicts through an independent Fourier-Motzkin oracle.
 
 Circuits with constant inputs are certified through their constant-free
 core (strip_constants is applied up front): eliminating constants
@@ -32,7 +32,6 @@ excludes the all-zero solution in the first place.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,24 +50,7 @@ from .circuits import (
 from . import guards
 from .errors import InternalCheck, UsageError
 from .families import SetFamily, boolean_function_of, is_antichain, similar
-from .simplex import OPTIMAL, fm_feasible, solve_lp
-
-FM_GENERATOR_LIMIT = 12
-
-cross_check_stats = {"checked": 0}
-_cross_check_enabled = False
-
-
-@contextmanager
-def fm_cross_check():
-    """Replay small lp_feasible decisions through Fourier-Motzkin."""
-    global _cross_check_enabled
-    old = _cross_check_enabled
-    _cross_check_enabled = True
-    try:
-        yield cross_check_stats
-    finally:
-        _cross_check_enabled = old
+from .simplex import OPTIMAL, solve_lp
 
 
 @dataclass(frozen=True)
@@ -145,99 +127,82 @@ def verify_certificate(cert: Certificate, query: DominanceQuery) -> bool:
     return all(Fraction(u) >= c for u, c in zip(query.target, comb))
 
 
-def _project(vec, coords):
-    return tuple(vec[i] for i in coords)
+def _admissible(gens, usupp, tight):
+    """Generators that may enter a combination above (or tight to) supp(u).
+
+    An "above" combination may not use a coordinate outside supp(u); a
+    tight one must use exactly supp(u).
+    """
+    if tight:
+        return [v for v in gens if support(v) == usupp]
+    return [v for v in gens if support(v) <= usupp]
+
+
+def _combination_lp(target, gens, below, scaled):
+    """The one LP shape behind every dominance and factor question.
+
+    Columns are the sorted distinct projections of gens onto supp(target),
+    each standing for the first generator in gens that projects to it;
+    their multipliers sum to 1.  Each support coordinate gives one row:
+    the combination is >= the target when `below`, <= it otherwise.  With
+    `scaled` a last column t multiplies the target and the LP optimizes
+    it (max when below, min otherwise); without, it is a feasibility LP.
+    Returns the column representatives and the LP result.
+    """
+    coords = sorted(support(target))
+    reps = {}
+    for v in gens:
+        reps.setdefault(tuple(v[i] for i in coords), v)
+    keys = sorted(reps)
+    rel = ">=" if below else "<="
+    constraints = []
+    for ci, coord in enumerate(coords):
+        row = [Fraction(key[ci]) for key in keys]
+        ai = Fraction(target[coord])
+        if scaled:
+            constraints.append((row + [-ai], rel, Fraction(0)))
+        else:
+            constraints.append((row, rel, ai))
+    extra = [Fraction(0)] if scaled else []
+    constraints.append(([Fraction(1)] * len(keys) + extra, "==", Fraction(1)))
+    objective = [Fraction(0)] * len(keys) + ([Fraction(1)] if scaled else [])
+    result = solve_lp(objective, constraints, maximize=scaled and below)
+    return [reps[key] for key in keys], result
 
 
 def lp_feasible(query: DominanceQuery) -> Certificate:
     """Decide a dominance query exactly; witnesses are re-verified."""
     u = tuple(Fraction(c) for c in query.target)
     usupp = support(u)
-    gens = sorted(set(tuple(v) for v in query.generators))
-
-    if query.tight:
-        gens = [v for v in gens if support(v) == usupp]
-        if not gens:
-            return Certificate(False, query.target, query.direction,
-                               note="empty support filter")
-    elif query.direction == "above":
-        gens = [v for v in gens if support(v) <= usupp]
-        if not gens:
-            return Certificate(False, query.target, query.direction,
-                               note="no generators inside the target support")
-
-    cert = _decide(u, usupp, gens, query)
-    if not verify_certificate(cert, query):
-        raise InternalCheck("certificate failed re-verification")
-    return cert
-
-
-def _decide(u, usupp, gens, query) -> Certificate:
     below = query.direction == "below"
+    gens = sorted(set(tuple(v) for v in query.generators))
+    if query.tight or not below:
+        gens = _admissible(gens, usupp, query.tight)
+        if not gens:
+            note = ("empty support filter" if query.tight
+                    else "no generators inside the target support")
+            return Certificate(False, query.target, query.direction, note=note)
 
+    cert = None
     for v in gens:
         if all(ui <= vi for ui, vi in zip(u, v)) if below else all(
             ui >= vi for ui, vi in zip(u, v)
         ):
             cert = Certificate(True, query.target, query.direction,
                                ((v, Fraction(1)),), note="pointwise")
-            _maybe_cross_check(u, usupp, gens, below, True, query)
-            return cert
-
-    coords = sorted(usupp)
-    reps = {}
-    for v in gens:
-        key = _project(v, coords)
-        reps.setdefault(key, v)
-    keys = sorted(reps)
-
-    rel = ">=" if below else "<="
-    constraints = [
-        ([Fraction(key[ci]) for key in keys], rel, u[coords[ci]])
-        for ci in range(len(coords))
-    ]
-    constraints.append(([Fraction(1)] * len(keys), "==", Fraction(1)))
-    result = solve_lp([Fraction(0)] * len(keys), constraints)
-
-    feasible = result.status == OPTIMAL
-    _maybe_cross_check(u, usupp, gens, below, feasible, query)
-    if not feasible:
-        return Certificate(False, query.target, query.direction)
-    coeffs = tuple(
-        (reps[key], lam)
-        for key, lam in zip(keys, result.solution)
-        if lam != 0
-    )
-    return Certificate(True, query.target, query.direction, coeffs)
-
-
-def _maybe_cross_check(u, usupp, gens, below, verdict, query):
-    if not _cross_check_enabled:
-        return
-    if len(query.generators) > FM_GENERATOR_LIMIT and len(gens) > FM_GENERATOR_LIMIT:
-        return
-    coords = sorted(usupp)
-    m = len(gens)
-    rows = []
-    for ci, coord in enumerate(coords):
-        coeffs = [Fraction(v[coord]) for v in gens]
-        if below:
-            rows.append((coeffs, u[coord]))
+            break
+    if cert is None:
+        reps, result = _combination_lp(u, gens, below, scaled=False)
+        if result.status == OPTIMAL:
+            coeffs = tuple(
+                (rep, lam) for rep, lam in zip(reps, result.solution) if lam != 0
+            )
+            cert = Certificate(True, query.target, query.direction, coeffs)
         else:
-            rows.append(([-c for c in coeffs], -u[coord]))
-    ones = [Fraction(1)] * m
-    rows.append((ones, Fraction(1)))
-    rows.append(([-c for c in ones], Fraction(-1)))
-    for i in range(m):
-        e = [Fraction(0)] * m
-        e[i] = Fraction(1)
-        rows.append((e, Fraction(0)))
-    oracle = fm_feasible(rows, m)
-    cross_check_stats["checked"] += 1
-    if oracle != verdict:
-        raise InternalCheck(
-            f"Fourier-Motzkin oracle disagrees with simplex on {query}"
-        )
+            cert = Certificate(False, query.target, query.direction)
+    if not verify_certificate(cert, query):
+        raise InternalCheck("certificate failed re-verification")
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +234,10 @@ def _require_problem_set(a: VectorSet):
         raise UsageError("the all-zero vector is not a feasible solution")
 
 
-def _core(circuit: Circuit, expected: str) -> tuple[Circuit, VectorSet]:
+def _core_produced(circuit: Circuit, expected: str) -> VectorSet:
     if circuit.semiring != expected:
         raise UsageError(f"expected a {expected} circuit, got {circuit.semiring}")
-    core = strip_constants(circuit)
-    return core, produced_set(core)
-
-
-def _scale(vec, factor: Fraction):
-    return tuple(Fraction(c) * factor for c in vec)
+    return produced_set(strip_constants(circuit))
 
 
 def is_zero_one_antichain(a: VectorSet) -> bool:
@@ -289,30 +249,38 @@ def is_zero_one_antichain(a: VectorSet) -> bool:
     )
 
 
+def _certify(circuit: Circuit, a: VectorSet, r: Fraction, sense: str) -> CertificateBundle:
+    r = Fraction(r)
+    if r < 1:
+        raise UsageError("approximation factors are >= 1")
+    _require_problem_set(a)
+    b = _core_produced(circuit, MAXPLUS if sense == "max" else MINPLUS)
+    gens_a = tuple(a.sorted_vectors())
+    gens_b = tuple(b.sorted_vectors())
+    direction = "below" if sense == "max" else "above"
+    scale = 1 / r if sense == "max" else r
+    tight = sense == "min" and is_zero_one_antichain(a)
+    produced_side = tuple(
+        (v, lp_feasible(DominanceQuery(v, gens_a, direction))) for v in gens_b
+    )
+    feasible_side = tuple(
+        (v, lp_feasible(DominanceQuery(
+            tuple(Fraction(c) * scale for c in v), gens_b, direction, tight=tight)))
+        for v in gens_a
+    )
+    verdict = all(c.feasible for _, c in produced_side) and all(
+        c.feasible for _, c in feasible_side
+    )
+    return CertificateBundle(verdict, sense, r, b, produced_side, feasible_side)
+
+
 def certify_max(circuit: Circuit, a: VectorSet, r: Fraction) -> CertificateBundle:
     """Does the circuit's core approximate max-on-A within factor r?
 
     True iff every produced vector lies below conv(A) and (1/r)A lies
     below conv(B); both sides carry per-vector certificates.
     """
-    r = Fraction(r)
-    if r < 1:
-        raise UsageError("approximation factors are >= 1")
-    _require_problem_set(a)
-    _, b = _core(circuit, MAXPLUS)
-    gens_a = tuple(a.sorted_vectors())
-    gens_b = tuple(b.sorted_vectors())
-    produced_side = tuple(
-        (v, lp_feasible(DominanceQuery(v, gens_a, "below"))) for v in gens_b
-    )
-    feasible_side = tuple(
-        (v, lp_feasible(DominanceQuery(_scale(v, 1 / r), gens_b, "below")))
-        for v in gens_a
-    )
-    verdict = all(c.feasible for _, c in produced_side) and all(
-        c.feasible for _, c in feasible_side
-    )
-    return CertificateBundle(verdict, "max", r, b, produced_side, feasible_side)
+    return _certify(circuit, a, r, "max")
 
 
 def certify_min(circuit: Circuit, a: VectorSet, r: Fraction) -> CertificateBundle:
@@ -322,31 +290,7 @@ def certify_min(circuit: Circuit, a: VectorSet, r: Fraction) -> CertificateBundl
     antichains use the cheaper equivalent: pointwise domination of A by
     B plus support-matching (tight) combinations below rA.
     """
-    r = Fraction(r)
-    if r < 1:
-        raise UsageError("approximation factors are >= 1")
-    _require_problem_set(a)
-    _, b = _core(circuit, MINPLUS)
-    gens_a = tuple(a.sorted_vectors())
-    gens_b = tuple(b.sorted_vectors())
-
-    tight = is_zero_one_antichain(a)
-    produced_side = tuple(
-        (v, lp_feasible(DominanceQuery(v, gens_a, "above"))) for v in gens_b
-    )
-    feasible_side = tuple(
-        (
-            v,
-            lp_feasible(
-                DominanceQuery(_scale(v, r), gens_b, "above", tight=tight)
-            ),
-        )
-        for v in gens_a
-    )
-    verdict = all(c.feasible for _, c in produced_side) and all(
-        c.feasible for _, c in feasible_side
-    )
-    return CertificateBundle(verdict, "min", r, b, produced_side, feasible_side)
+    return _certify(circuit, a, r, "min")
 
 
 # ---------------------------------------------------------------------------
@@ -364,31 +308,26 @@ class FactorResult:
         return self.status == "rational"
 
 
-def _extreme_scale(a_vec, gens, sense):
-    """LP for one feasible vector a against the produced set.
+def _vector_factor(a_vec, gens_b, sense, tight):
+    """Least factor for one feasible vector against the produced set.
 
-    sense "max": largest t with t*a below conv(gens) (factor 1/t).
-    sense "min": least r with some tight/filtered combination <= r*a.
-    Only the supp(a) coordinates matter; generator projections are
-    deduplicated first.
+    sense "max": 1/t for the largest t with t*a below conv(gens_b).
+    sense "min": the least r with some admissible (tight or
+    support-filtered) combination <= r*a.  None when no finite factor
+    exists.
     """
-    coords = sorted(support(a_vec))
-    keys = sorted({_project(v, coords) for v in gens})
-    g = len(keys)
-    constraints = []
-    for ci, coord in enumerate(coords):
-        row = [Fraction(key[ci]) for key in keys]
-        ai = Fraction(a_vec[coord])
-        if sense == "max":
-            constraints.append((row + [-ai], ">=", Fraction(0)))
-        else:
-            constraints.append((row + [-ai], "<=", Fraction(0)))
-    constraints.append(([Fraction(1)] * g + [Fraction(0)], "==", Fraction(1)))
-    objective = [Fraction(0)] * g + [Fraction(1)]
-    result = solve_lp(objective, constraints, maximize=(sense == "max"))
+    if sense == "max":
+        gens = gens_b
+    else:
+        gens = _admissible(gens_b, support(a_vec), tight)
+        if not gens:
+            return None
+    _, result = _combination_lp(a_vec, gens, sense == "max", scaled=True)
     if result.status != OPTIMAL:
         raise InternalCheck(f"scale LP unexpectedly {result.status}")
-    return result.objective
+    if sense == "min":
+        return result.objective
+    return 1 / result.objective if result.objective else None
 
 
 def exact_factor(circuit: Circuit, a: VectorSet, sense: str) -> FactorResult:
@@ -402,51 +341,30 @@ def exact_factor(circuit: Circuit, a: VectorSet, sense: str) -> FactorResult:
     if sense not in ("min", "max"):
         raise UsageError("sense must be 'min' or 'max'")
     _require_problem_set(a)
-    _, b = _core(circuit, MAXPLUS if sense == "max" else MINPLUS)
+    b = _core_produced(circuit, MAXPLUS if sense == "max" else MINPLUS)
     gens_a = tuple(a.sorted_vectors())
     gens_b = tuple(b.sorted_vectors())
+    direction = "below" if sense == "max" else "above"
+    tight = sense == "min" and is_zero_one_antichain(a)
 
-    if sense == "max":
-        for v in gens_b:
-            if not lp_feasible(DominanceQuery(v, gens_a, "below")).feasible:
-                return FactorResult("invalid", witness=v)
-        best = None
-        witness = None
-        for av in gens_a:
-            t = _extreme_scale(av, gens_b, "max")
-            if t == 0:
-                return FactorResult("infinite", witness=av)
-            if best is None or 1 / t > best:
-                best, witness = 1 / t, av
-        if best < 1:
-            raise InternalCheck("maximization factor below 1 despite validity")
-        return FactorResult("rational", best, witness)
-
-    antichain = is_zero_one_antichain(a)
     for v in gens_b:
-        if antichain:
-            ok = any(
-                all(vi >= ai for vi, ai in zip(v, av)) for av in gens_a
-            )
+        if tight:
+            # on 0-1 antichains validity is pointwise domination
+            ok = any(all(vi >= ai for vi, ai in zip(v, av)) for av in gens_a)
         else:
-            ok = lp_feasible(DominanceQuery(v, gens_a, "above")).feasible
+            ok = lp_feasible(DominanceQuery(v, gens_a, direction)).feasible
         if not ok:
             return FactorResult("invalid", witness=v)
     best = None
     witness = None
     for av in gens_a:
-        asupp = support(av)
-        if antichain:
-            gens = [v for v in gens_b if support(v) == asupp]
-        else:
-            gens = [v for v in gens_b if support(v) <= asupp]
-        if not gens:
+        factor = _vector_factor(av, gens_b, sense, tight)
+        if factor is None:
             return FactorResult("infinite", witness=av)
-        r = _extreme_scale(av, gens, "min")
-        if best is None or r > best:
-            best, witness = r, av
+        if best is None or factor > best:
+            best, witness = factor, av
     if best < 1:
-        raise InternalCheck("minimization factor below 1 despite validity")
+        raise InternalCheck(f"{sense}imization factor below 1 despite validity")
     return FactorResult("rational", best, witness)
 
 
@@ -486,14 +404,13 @@ def semantic_degree(circuit: Circuit, a: VectorSet) -> Fraction:
     if not boolean_versions_agree(b, a):
         raise UsageError("circuit does not compute the boolean function of A")
     degree = Fraction(1)
+    produced = b.sorted_vectors()
     for av in a.sorted_vectors():
-        asupp = support(av)
-        gens = [v for v in b.sorted_vectors() if support(v) == asupp]
-        if not gens:
-            raise InternalCheck("similarity guarantees a support-matching vector")
         if tuple(av) in b:
             continue  # that minterm is produced as-is: its contribution is 1
-        r = _extreme_scale(av, gens, "min")
+        r = _vector_factor(av, produced, "min", tight=True)
+        if r is None:
+            raise InternalCheck("similarity guarantees a support-matching vector")
         degree = max(degree, r)
     return degree
 

@@ -313,10 +313,10 @@ def _cmd_bound(args) -> int:
     return 3 if report.failed else 0
 
 
-def _cmd_greedy(args) -> int:
+def _cmd_greedy(args, run_fn) -> int:
     fam = parse_family(_read(args.family))
     x = parse_weighting(_read(args.weights))
-    run = greedy.greedy_run(fam, x, args.sense)
+    run = run_fn(fam, x, args.sense)
     print(f"solution: {' '.join(str(e) for e in run.solution)}")
     print(f"value: {format_rational(run.value)}")
     print(f"optimum: {format_rational(run.optimum)}")
@@ -329,17 +329,6 @@ def _cmd_greedy_factor(args) -> int:
     est = greedy.greedy_factor_estimate(fam, args.trials, args.seed, args.sense)
     print(f"trials: {est.trials}")
     print(f"max ratio: {format_rational(est.max_ratio)}")
-    return 0
-
-
-def _cmd_greedy_bad(args) -> int:
-    fam = parse_family(_read(args.family))
-    x = parse_weighting(_read(args.weights))
-    run = greedy.wrong_strategy_run(fam, x, args.sense)
-    print(f"solution: {' '.join(str(e) for e in run.solution)}")
-    print(f"value: {format_rational(run.value)}")
-    print(f"optimum: {format_rational(run.optimum)}")
-    print(f"ratio: {format_rational(run.ratio)}")
     return 0
 
 
@@ -358,8 +347,8 @@ def _report_hierarchy(args, report: _Report):
     report.line("d-disjoint", families.is_d_disjoint(fam, d), families.is_d_disjoint(fam, d))
     report.line("gates", c.gate_count, c.gate_count <= 3 * m * m)
     target = Fraction(m, d)
-    report.line("certified at m/d", certify.certify_max(c, a, target).verdict,
-                certify.certify_max(c, a, target).verdict)
+    certified = certify.certify_max(c, a, target).verdict
+    report.line("certified at m/d", certified, certified)
     result = certify.exact_factor(c, a, "max")
     report.line("exact factor", result.value,
                 result.status == "rational" and result.value <= target)
@@ -600,7 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("sense", choices=["max", "min"])
     p.add_argument("family")
     p.add_argument("weights")
-    p.set_defaults(fn=_cmd_greedy)
+    p.set_defaults(fn=lambda a: _cmd_greedy(a, greedy.greedy_run))
 
     p = sub.add_parser("greedy-factor", help="max observed greedy ratio")
     p.add_argument("family")
@@ -613,7 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("sense", choices=["max", "min"])
     p.add_argument("family")
     p.add_argument("weights")
-    p.set_defaults(fn=_cmd_greedy_bad)
+    p.set_defaults(fn=lambda a: _cmd_greedy(a, greedy.wrong_strategy_run))
 
     p = sub.add_parser("report", help="consolidated acceptance-style reports")
     rsub = p.add_subparsers(dest="suite", required=True)

@@ -33,14 +33,6 @@ class GreedyRun:
     order: tuple           # the element scan order used
 
 
-def _heaviest_first(weights, n):
-    return tuple(sorted(range(1, n + 1), key=lambda e: (-weights[e - 1], e)))
-
-
-def _lightest_first(weights, n):
-    return tuple(sorted(range(1, n + 1), key=lambda e: (weights[e - 1], e)))
-
-
 def _first_in(family: SetFamily, order):
     member_with = family.element_member_masks()
     live = (1 << len(family.masks)) - 1
@@ -93,8 +85,7 @@ def _weights_of(x):
     return list(x.values if isinstance(x, Weighting) else x)
 
 
-def greedy_run(family: SetFamily, x, sense: str) -> GreedyRun:
-    """Heaviest-first best-in (max) / worst-out (min) greedy run."""
+def _run(family: SetFamily, x, sense: str, strategy: str) -> GreedyRun:
     if sense not in ("min", "max"):
         raise UsageError("sense must be 'min' or 'max'")
     if not is_antichain(family):
@@ -102,29 +93,21 @@ def greedy_run(family: SetFamily, x, sense: str) -> GreedyRun:
     weights = _weights_of(x)
     if len(weights) != family.n:
         raise UsageError("weighting arity mismatch")
-    order = _heaviest_first(weights, family.n)
-    if sense == "max":
-        mask = _first_in(family, order)
-    else:
-        mask = _first_out(family, order)
-    return _finish(family, weights, sense, "heaviest-first", order, mask)
+    heaviest = strategy == "heaviest-first"
+    sign = -1 if heaviest else 1  # ties go to the lower index either way
+    order = tuple(sorted(range(1, family.n + 1), key=lambda e: (sign * weights[e - 1], e)))
+    scan = _first_in if heaviest == (sense == "max") else _first_out
+    return _finish(family, weights, sense, strategy, order, scan(family, order))
+
+
+def greedy_run(family: SetFamily, x, sense: str) -> GreedyRun:
+    """Heaviest-first best-in (max) / worst-out (min) greedy run."""
+    return _run(family, x, sense, "heaviest-first")
 
 
 def wrong_strategy_run(family: SetFamily, x, sense: str) -> GreedyRun:
     """Lightest-first with the opposite heuristic; unboundedly bad baseline."""
-    if sense not in ("min", "max"):
-        raise UsageError("sense must be 'min' or 'max'")
-    if not is_antichain(family):
-        raise UsageError("greedy needs an antichain family")
-    weights = _weights_of(x)
-    if len(weights) != family.n:
-        raise UsageError("weighting arity mismatch")
-    order = _lightest_first(weights, family.n)
-    if sense == "max":
-        mask = _first_out(family, order)
-    else:
-        mask = _first_in(family, order)
-    return _finish(family, weights, sense, "lightest-first", order, mask)
+    return _run(family, x, sense, "lightest-first")
 
 
 # ---------------------------------------------------------------------------

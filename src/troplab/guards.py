@@ -12,7 +12,6 @@ SIDON_VECTORS = 128        # vectors for the Sidon pair-sum scan
 MATCHINGS = 10**5          # perfect matchings per hypergraph family
 TABLE_VARIABLES = 20       # truth-table arity
 FIELD_ORDER = 1 << 16      # elements per finite field
-FM_ROWS = 200_000          # intermediate Fourier-Motzkin rows
 
 
 def set_guard(name: str, value: int):

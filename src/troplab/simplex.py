@@ -1,10 +1,9 @@
-"""Exact rational LP: two-phase simplex and a Fourier-Motzkin oracle.
+"""Exact rational LP: a two-phase simplex.
 
 Everything runs on `fractions.Fraction`; Bland's rule makes the simplex
-terminate without perturbation.  The Fourier-Motzkin decision procedure
-is deliberately kept independent of the simplex code path: it is the
-cross-check oracle for feasibility verdicts and blows up beyond a dozen
-variables, which is all the tests need.
+terminate without perturbation.  The independent Fourier-Motzkin oracle
+that cross-checks its feasibility verdicts lives in the test suite
+(tests/fm_oracle.py), not here.
 
 Variables are implicitly nonnegative (all uses here are convex
 multipliers and scale factors).  Constraints are (coeffs, rel, rhs)
@@ -15,10 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from . import guards
-from .errors import GuardExceeded, UsageError
+from .errors import UsageError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -185,82 +182,3 @@ def solve_lp(objective, constraints, maximize: bool = False) -> LPResult:
     if maximize:
         value = -value
     return LPResult(OPTIMAL, value, solution)
-
-
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination (independent feasibility oracle)
-
-
-def _normalize(coeffs, rhs):
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    denom = denom * rhs.denominator // gcd(denom, rhs.denominator)
-    ints = [int(c * denom) for c in coeffs] + [int(rhs * denom)]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints[:-1]), ints[-1]
-
-
-def fm_feasible(rows, nvars: int) -> bool:
-    """Exact feasibility of {x : coeffs . x >= rhs for every row}.
-
-    Rows are (coeffs, rhs) pairs over `nvars` free variables
-    (nonnegativity, if wanted, must be passed as explicit rows).
-    Eliminates one variable at a time, smallest pos*neg count first.
-    """
-    system = {}
-    for coeffs, rhs in rows:
-        key, r = _normalize([Fraction(c) for c in coeffs], Fraction(rhs))
-        if key in system:
-            system[key] = max(system[key], r)
-        else:
-            system[key] = r
-
-    remaining = list(range(nvars))
-    while remaining:
-        items = list(system.items())
-        for key, rhs in items:
-            if all(c == 0 for c in key) and rhs > 0:
-                return False
-        best_var, best_score = None, None
-        for v in remaining:
-            pos = sum(1 for key, _ in items if key[v] > 0)
-            neg = sum(1 for key, _ in items if key[v] < 0)
-            score = pos * neg - pos - neg
-            if best_score is None or score < best_score:
-                best_var, best_score = v, score
-        v = best_var
-        remaining.remove(v)
-
-        pos, neg, zero = [], [], {}
-        for key, rhs in items:
-            if key[v] > 0:
-                pos.append((key, rhs))
-            elif key[v] < 0:
-                neg.append((key, rhs))
-            else:
-                zero[key] = max(rhs, zero.get(key, rhs))
-        system = zero
-        for pkey, prhs in pos:
-            for nkey, nrhs in neg:
-                a, b = pkey[v], -nkey[v]
-                coeffs = [
-                    Fraction(b * pc + a * nc) for pc, nc in zip(pkey, nkey)
-                ]
-                rhs = Fraction(b * prhs + a * nrhs)
-                key, r = _normalize(coeffs, rhs)
-                if any(key):
-                    if key in system:
-                        system[key] = max(system[key], r)
-                    else:
-                        system[key] = r
-                elif r > 0:
-                    return False
-                if len(system) > guards.FM_ROWS:
-                    raise GuardExceeded("Fourier-Motzkin row guard exceeded")
-
-    return all(rhs <= 0 for rhs in system.values())

@@ -2,16 +2,24 @@
 
 Each test prints one `criterion NN: PASS (elapsed)` line (run pytest
 with -s to see them inline) and asserts the stated time budget.
-Criteria 2-4, 6-7 and 11 run under the Fourier-Motzkin cross-check;
-criterion 12 reports the accumulated oracle agreements (a disagreement
-anywhere raises InternalCheck and fails the originating criterion).
+Criteria 2-4, 6-7 and 11 run under the Fourier-Motzkin cross-check of
+tests/fm_oracle.py (a disagreement raises InternalCheck and fails the
+originating criterion).  Criterion 12 runs its own certifications under
+the cross-check, so it passes alone too, shows that a flipped verdict is
+caught, and prints the number of replays made so far in the run.
 """
 
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
+
+import pytest
+
 from conftest import simple_path_vectors, spanning_tree_vectors
+from fm_oracle import fm_cross_check
+from troplab import certify
 from troplab.builders import (
     bellman_ford_circuit,
     design_approximator,
@@ -28,8 +36,6 @@ from troplab.certify import (
     certify_max,
     certify_min,
     exact_factor,
-    fm_cross_check,
-    lp_feasible,
     semantic_degree,
 )
 from troplab.circuits import (
@@ -46,6 +52,7 @@ from troplab.circuits import (
     strip_constants,
     syntactic_degree,
 )
+from troplab.errors import InternalCheck
 from troplab.families import (
     SetFamily,
     boolean_function_of,
@@ -90,9 +97,8 @@ def _criterion(num: int, budget_s: float, label: str):
 @contextmanager
 def _oracle_checked():
     with fm_cross_check() as stats:
-        before = stats["checked"]
-        yield
-        _fm_totals["checked"] += stats["checked"] - before
+        yield stats
+    _fm_totals["checked"] += stats["checked"]
 
 
 def test_criterion_01_selection():
@@ -365,7 +371,7 @@ def _degree_with_probes(circuit, minterms):
     degree = semantic_degree(circuit, minterms)
     gens = tuple(produced_set(circuit).sorted_vectors())
     scaled = lambda r, a: tuple(F(x) * r for x in a)
-    feasible_at = lambda r, a: lp_feasible(
+    feasible_at = lambda r, a: certify.lp_feasible(
         DominanceQuery(scaled(r, a), gens, "above", tight=True)
     ).feasible
     assert all(feasible_at(degree, a) for a in minterms)
@@ -417,10 +423,34 @@ def test_criterion_11_semantic_degree():
             pairs += 1
 
 
-def test_criterion_12_solver_cross_validation():
+def test_criterion_12_solver_cross_validation(monkeypatch):
     with _criterion(12, 60.0, "Fourier-Motzkin agreement"):
-        # Disagreements or unverifiable witnesses raise InternalCheck inside
-        # the suites above; reaching this point means every replayed
-        # decision agreed and every witness re-verified.
-        assert _fm_totals["checked"] > 100
-        print(f"  cross-checked lp decisions: {_fm_totals['checked']}")
+        # Every replayed verdict must agree with elimination; a
+        # disagreement raises InternalCheck inside the block.
+        with _oracle_checked() as stats:
+            for c, a in _min_corpus():
+                assert certify_min(c, a, 1).verdict
+            for m in (2, 3):  # witnesses that mix several generators
+                spec = DesignSpec(m, 1)
+                a = polynomial_design(spec).characteristic_vectors()
+                assert certify_max(design_approximator(spec), a, F(m)).verdict
+            for n in (4, 5):
+                c = bellman_ford_circuit(n, 1, 2, BOOLEAN)
+                assert _degree_with_probes(c, simple_path_vectors(n, 1, 2)) == 1
+            for n in (3, 4):
+                c = spanning_tree_boolean(n)
+                assert _degree_with_probes(c, spanning_tree_vectors(n)) <= n - 1
+        assert stats["checked"] > 100
+
+        # Negative control: a solver that flips its verdicts is caught.
+        decide = certify.lp_feasible
+
+        def flipped(query):
+            cert = decide(query)
+            return replace(cert, feasible=not cert.feasible)
+
+        monkeypatch.setattr(certify, "lp_feasible", flipped)
+        with pytest.raises(InternalCheck, match="disagrees"), fm_cross_check():
+            certify.lp_feasible(DominanceQuery((1, 1), ((1, 0), (0, 1)), "below"))
+        print(f"  cross-checked lp decisions: {_fm_totals['checked']}"
+              f" ({stats['checked']} in this criterion)")

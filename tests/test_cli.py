@@ -1,6 +1,12 @@
 """CLI surface: subcommands, file round trips, exit codes, determinism."""
 
+from fractions import Fraction
+from pathlib import Path
+
+from conftest import simple_path_vectors
+from troplab import certify
 from troplab.cli import main
+from troplab.families import serialize_vectors
 
 
 def run_cli(capsys, *argv):
@@ -168,3 +174,38 @@ def test_report_suites_smoke(capsys):
     code, _, err = run_cli(capsys, "report", "counting", "--n", "12",
                            "--t", "10", "--sample-n", "6", "--trials", "40")
     assert code == 3 and "failing rows" in err
+
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_transcript.txt"
+
+
+def test_cli_output_matches_golden_transcript(tmp_path, capsys, monkeypatch):
+    """Exact stdout, certificate multipliers included, of each
+    `$ troplab ...` command in the transcript, run on the design (3,2),
+    Bellman-Ford K4 and README star inputs."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "gen", "design", "--m", "3", "--d", "2", "-o", "F.fam")
+    run_cli(capsys, "build", "design-approx", "--m", "3", "--d", "2", "-o", "a.ckt")
+    run_cli(capsys, "build", "bf", "--n", "4", "--minplus", "-o", "bf.ckt")
+    (tmp_path / "P.vec").write_text(serialize_vectors(simple_path_vectors(4, 1, 2)))
+    (tmp_path / "star.fam").write_text("family vars=4\n1\n2 3 4\n")
+    (tmp_path / "sw.txt").write_text("weights vars=4\n20/19\n1\n1\n1\n")
+    commands = GOLDEN.read_text().split("$ troplab ")[1:]
+    assert len(commands) == 9
+    for chunk in commands:
+        command, expected = chunk.split("\n", 1)
+        assert run_cli(capsys, *command.split())[:2] == (0, expected), command
+
+
+def test_report_hierarchy_certifies_each_row_once(capsys, monkeypatch):
+    calls = []
+    original = certify.certify_max
+
+    def spy(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(certify, "certify_max", spy)
+    assert run_cli(capsys, "report", "hierarchy", "--m", "3", "--d", "2")[0] == 0
+    # the m/d row and the "refuted at 1" row
+    assert calls == [Fraction(3, 2), Fraction(1)]

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from fm_oracle import fm_feasible
 from troplab.errors import UsageError
-from troplab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, fm_feasible, solve_lp
+from troplab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
 def test_small_maximization():
