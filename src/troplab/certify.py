@@ -17,8 +17,9 @@ generator set?  Everything else reduces to it:
 Every query, feasibility or scale, is one LP shape (_combination_lp):
 convex multipliers over the distinct projections of the admissible
 generators onto supp(u).  Support filtering is mandatory for "above"
-and tight queries; a single-generator dominance fast path answers
-before the rational simplex runs.  Every returned witness is re-verified
+and tight queries; a single-generator dominance fast path, comparing
+ints once the target's denominators are cleared, answers before the
+exact simplex runs.  Every returned witness is re-verified
 by direct arithmetic; the test suite additionally replays small
 verdicts through an independent Fourier-Motzkin oracle.
 
@@ -50,6 +51,7 @@ from .circuits import (
 from . import guards
 from .errors import InternalCheck, UsageError
 from .families import SetFamily, boolean_function_of, is_antichain, similar
+from .rationals import clear_denominators
 from .simplex import OPTIMAL, solve_lp
 
 
@@ -105,26 +107,34 @@ class Certificate:
 
 
 def verify_certificate(cert: Certificate, query: DominanceQuery) -> bool:
-    """Re-verify a feasible certificate by direct rational arithmetic."""
+    """Re-verify a feasible certificate by direct exact arithmetic.
+
+    Checks that the multipliers are nonnegative, sum to 1 and sit on
+    generators of the query (support-matching when it is tight), and
+    that their combination dominates or is dominated by the target.
+    Denominators are cleared once, so every comparison is between ints.
+    """
     if not cert.feasible:
         return True
     if cert.coefficients is None:
         return False
-    total = Fraction(0)
     usupp = support(query.target)
     gen_set = set(query.generators)
-    for vec, lam in cert.coefficients:
-        if lam < 0 or vec not in gen_set:
+    for vec, _ in cert.coefficients:
+        if vec not in gen_set or (query.tight and support(vec) != usupp):
             return False
-        if query.tight and support(vec) != usupp:
-            return False
-        total += lam
-    if total != 1:
+    lams, lam_den = clear_denominators([lam for _, lam in cert.coefficients])
+    if any(lam < 0 for lam in lams) or sum(lams) != lam_den:
         return False
-    comb = cert.combination()
-    if query.direction == "below":
-        return all(Fraction(u) <= c for u, c in zip(query.target, comb))
-    return all(Fraction(u) >= c for u, c in zip(query.target, comb))
+    # u_i <= sum(lam * g_i) iff u_num_i * lam_den <= u_den * sum(lam_num * g_i)
+    u_nums, u_den = clear_denominators(query.target)
+    below = query.direction == "below"
+    vecs = [vec for vec, _ in cert.coefficients]
+    for i, u in enumerate(u_nums):
+        comb = u_den * sum(lam * vec[i] for vec, lam in zip(vecs, lams))
+        if u * lam_den > comb if below else u * lam_den < comb:
+            return False
+    return True
 
 
 def _admissible(gens, usupp, tight):
@@ -157,23 +167,23 @@ def _combination_lp(target, gens, below, scaled):
     rel = ">=" if below else "<="
     constraints = []
     for ci, coord in enumerate(coords):
-        row = [Fraction(key[ci]) for key in keys]
-        ai = Fraction(target[coord])
+        row = [key[ci] for key in keys]
+        ai = target[coord]
         if scaled:
-            constraints.append((row + [-ai], rel, Fraction(0)))
+            constraints.append((row + [-ai], rel, 0))
         else:
             constraints.append((row, rel, ai))
-    extra = [Fraction(0)] if scaled else []
-    constraints.append(([Fraction(1)] * len(keys) + extra, "==", Fraction(1)))
-    objective = [Fraction(0)] * len(keys) + ([Fraction(1)] if scaled else [])
+    extra = [0] if scaled else []
+    constraints.append(([1] * len(keys) + extra, "==", 1))
+    objective = [0] * len(keys) + ([1] if scaled else [])
     result = solve_lp(objective, constraints, maximize=scaled and below)
     return [reps[key] for key in keys], result
 
 
 def lp_feasible(query: DominanceQuery) -> Certificate:
     """Decide a dominance query exactly; witnesses are re-verified."""
-    u = tuple(Fraction(c) for c in query.target)
-    usupp = support(u)
+    nums, den = clear_denominators(query.target)
+    usupp = support(nums)
     below = query.direction == "below"
     gens = sorted(set(tuple(v) for v in query.generators))
     if query.tight or not below:
@@ -183,16 +193,17 @@ def lp_feasible(query: DominanceQuery) -> Certificate:
                     else "no generators inside the target support")
             return Certificate(False, query.target, query.direction, note=note)
 
+    # Pointwise fast path on ints: u <= v iff u_num <= den * v.
     cert = None
     for v in gens:
-        if all(ui <= vi for ui, vi in zip(u, v)) if below else all(
-            ui >= vi for ui, vi in zip(u, v)
+        if all(x <= den * y for x, y in zip(nums, v)) if below else all(
+            x >= den * y for x, y in zip(nums, v)
         ):
             cert = Certificate(True, query.target, query.direction,
                                ((v, Fraction(1)),), note="pointwise")
             break
     if cert is None:
-        reps, result = _combination_lp(u, gens, below, scaled=False)
+        reps, result = _combination_lp(query.target, gens, below, scaled=False)
         if result.status == OPTIMAL:
             coeffs = tuple(
                 (rep, lam) for rep, lam in zip(reps, result.solution) if lam != 0
@@ -265,7 +276,7 @@ def _certify(circuit: Circuit, a: VectorSet, r: Fraction, sense: str) -> Certifi
     )
     feasible_side = tuple(
         (v, lp_feasible(DominanceQuery(
-            tuple(Fraction(c) * scale for c in v), gens_b, direction, tight=tight)))
+            tuple(c * scale for c in v), gens_b, direction, tight=tight)))
         for v in gens_a
     )
     verdict = all(c.feasible for _, c in produced_side) and all(

@@ -18,11 +18,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import guards
 from .errors import DegenerateCircuit, GuardExceeded, UsageError
-from .rationals import format_rational, parse_rational
+from .rationals import clear_denominators, format_rational, parse_rational
 
 MINPLUS = "minplus"
 MAXPLUS = "maxplus"
@@ -195,9 +194,9 @@ def _check_weights(c: Circuit, x):
     if c.semiring == BOOLEAN:
         if any(v not in (0, 1) for v in x):
             raise UsageError("boolean evaluation needs 0/1 weights")
-    else:
-        if any(v < 0 for v in x):
-            raise UsageError("negative weight")
+    elif any(getattr(v, "numerator", v) < 0 for v in x):
+        # a rational's sign is its numerator's; floats compare as they are
+        raise UsageError("negative weight")
 
 
 _OP_VAR, _OP_CONST, _OP_ADD, _OP_MUL = range(4)
@@ -254,9 +253,7 @@ def evaluate(c: Circuit, x):
         if all(type(v) is int for v in x):
             scale, ints = 1, x
         else:
-            fracs = [Fraction(v) for v in x]
-            scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-            ints = [int(f * scale) for f in fracs]
+            ints, scale = clear_denominators(x)
         use_min = c.semiring == MINPLUS
         for i, (op, a, b) in enumerate(prog):
             if op == _OP_VAR:

@@ -4,13 +4,15 @@ All weights, factors and certificate multipliers in this package are
 `fractions.Fraction` values: stored in lowest terms with a positive
 denominator, totally ordered, exact.  This module adds the small pieces
 Fraction does not ship: the four-operation dispatcher used by the CLI,
-the ``p/q`` text form (``q`` omitted when 1), and ceiling division for
-rational parameters.
+the ``p/q`` text form (``q`` omitted when 1), ceiling division for
+rational parameters, and clearing a vector's denominators so that exact
+hot paths can run on ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import UsageError
 
@@ -56,6 +58,17 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def clear_denominators(values) -> tuple[list[int], int]:
+    """Ints n and the least d >= 1 with n[i] / d == values[i], exactly.
+
+    Values are ints or Fractions; any other number goes through Fraction
+    first.  Since d > 0, each n[i] has the sign of values[i].
+    """
+    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals], den
 
 
 def ceil_rational(value: Fraction) -> int:

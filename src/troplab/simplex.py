@@ -1,21 +1,30 @@
 """Exact rational LP: a two-phase simplex.
 
-Everything runs on `fractions.Fraction`; Bland's rule makes the simplex
-terminate without perturbation.  The independent Fourier-Motzkin oracle
-that cross-checks its feasibility verdicts lives in the test suite
-(tests/fm_oracle.py), not here.
+The tableau is fraction-free.  Each row, the cost row included, is a
+list of ints plus one positive denominator, and stands for the rational
+row ints/den.  A pivot combines two rows by integer cross-multiplication
+and divides the result by the gcd of its entries and its denominator
+(fraction-free elimination in the style of Bareiss and Edmonds).  The
+ratio test cross-multiplies, and signs are read from the numerators, so
+every comparison is the one a Fraction tableau would make and the pivot
+sequence is the same.  Bland's rule makes the simplex terminate without
+perturbation; objective and solution come back as Fractions.  The
+independent Fourier-Motzkin oracle that cross-checks its feasibility
+verdicts lives in the test suite (tests/fm_oracle.py), not here.
 
 Variables are implicitly nonnegative (all uses here are convex
 multipliers and scale factors).  Constraints are (coeffs, rel, rhs)
-with rel one of "<=", ">=", "==".
+with rel one of "<=", ">=", "==" and ints or Fractions as numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import UsageError
+from .rationals import clear_denominators
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -29,156 +38,162 @@ class LPResult:
     solution: list | None = None
 
 
-def _pivot(rows, cost, basis, pr, pc):
-    pivot_row = rows[pr]
-    inv = Fraction(1) / pivot_row[pc]
-    rows[pr] = [v * inv for v in pivot_row]
-    pivot_row = rows[pr]
+def _eliminate(row, den, src, col):
+    """row/den minus the multiple of src/src[col] that zeroes column col.
+
+    src[col] must be positive.  Returns the (ints, den) pair of the
+    result, reduced by its gcd.
+    """
+    f = row[col]
+    p = src[col]
+    new = [v * p - f * s for v, s in zip(row, src)]
+    den *= p
+    g = gcd(den, *new)
+    if g > 1:
+        new = [v // g for v in new]
+        den //= g
+    return new, den
+
+
+def _pivot(rows, dens, basis, pr, pc, cost=None):
+    """Make column pc the unit column of row pr; returns the new cost."""
+    prow = rows[pr]
+    if prow[pc] < 0:
+        prow = [-v for v in prow]
+    g = gcd(*prow)
+    if g > 1:
+        prow = [v // g for v in prow]
+    rows[pr] = prow
+    dens[pr] = prow[pc]  # the pivot row divided by its pivot entry
     for r, row in enumerate(rows):
         if r != pr and row[pc]:
-            factor = row[pc]
-            rows[r] = [v - factor * p for v, p in zip(row, pivot_row)]
-    if cost[pc]:
-        factor = cost[pc]
-        for j, p in enumerate(pivot_row):
-            cost[j] -= factor * p
+            rows[r], dens[r] = _eliminate(row, dens[r], prow, pc)
+    if cost is not None and cost[0][pc]:
+        cost = _eliminate(*cost, prow, pc)
     basis[pr] = pc
+    return cost
 
 
-def _run_simplex(rows, cost, basis):
-    """Minimize; Bland's rule (lowest eligible indices) for termination."""
-    ncols = len(cost) - 1
+def _price_out(cost, rows, basis):
+    """Zero the cost of every basic column (each has a 1 in its row)."""
+    for r, b in enumerate(basis):
+        if cost[0][b]:
+            cost = _eliminate(*cost, rows[r], b)
+    return cost
+
+
+def _run_simplex(rows, dens, cost, basis):
+    """Minimize; Bland's rule (lowest eligible indices) for termination.
+
+    Returns the status and the final cost row.
+    """
+    ncols = len(cost[0]) - 1
     while True:
-        entering = None
-        for j in range(ncols):
-            if cost[j] < 0:
-                entering = j
-                break
+        c = cost[0]
+        entering = next((j for j in range(ncols) if c[j] < 0), None)
         if entering is None:
-            return OPTIMAL
+            return OPTIMAL, cost
+        # The ratio of row r is row[-1] / row[entering]: dens cancel.
         leaving = None
-        best = None
         for r, row in enumerate(rows):
-            if row[entering] > 0:
-                ratio = row[-1] / row[entering]
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leaving]
-                ):
-                    best = ratio
-                    leaving = r
+            a = row[entering]
+            if a > 0:
+                if leaving is None:
+                    leaving, num, den = r, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leaving]):
+                    leaving, num, den = r, row[-1], a
         if leaving is None:
-            return UNBOUNDED
-        _pivot(rows, cost, basis, leaving, entering)
+            return UNBOUNDED, cost
+        cost = _pivot(rows, dens, basis, leaving, entering, cost)
 
 
 def solve_lp(objective, constraints, maximize: bool = False) -> LPResult:
     """Optimize objective . z over z >= 0 subject to the constraints."""
     nvars = len(objective)
-    obj = [Fraction(c) for c in objective]
+    obj, obj_den = clear_denominators(objective)
     if maximize:
         obj = [-c for c in obj]
 
-    rows = []
-    rels = []
+    parsed = []
     for coeffs, rel, rhs in constraints:
         if rel not in ("<=", ">=", "=="):
             raise UsageError(f"bad relation {rel!r}")
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != nvars:
+        ints, den = clear_denominators([*coeffs, rhs])
+        if len(ints) - 1 != nvars:
             raise UsageError("constraint arity mismatch")
-        rhs = Fraction(rhs)
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
+        if ints[-1] < 0:
+            ints = [-c for c in ints]
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        rows.append((coeffs, rhs))
-        rels.append(rel)
+        parsed.append((ints, den, rel))
 
-    nslack = sum(1 for rel in rels if rel != "==")
-    nart = sum(1 for rel in rels if rel != "<=")
+    nslack = sum(1 for _, _, rel in parsed if rel != "==")
+    nart = sum(1 for _, _, rel in parsed if rel != "<=")
     ncols = nvars + nslack + nart
 
-    tableau = []
+    rows = []
+    dens = []
     basis = []
     slack_at = nvars
     art_at = nvars + nslack
     art_cols = []
-    for (coeffs, rhs), rel in zip(rows, rels):
-        row = coeffs + [Fraction(0)] * (ncols - nvars) + [rhs]
+    for ints, den, rel in parsed:
+        row = ints[:-1] + [0] * (ncols - nvars) + ints[-1:]
         if rel == "<=":
-            row[slack_at] = Fraction(1)
+            row[slack_at] = den
             basis.append(slack_at)
             slack_at += 1
-        elif rel == ">=":
-            row[slack_at] = Fraction(-1)
-            slack_at += 1
-            row[art_at] = Fraction(1)
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
         else:
-            row[art_at] = Fraction(1)
+            if rel == ">=":
+                row[slack_at] = -den
+                slack_at += 1
+            row[art_at] = den
             basis.append(art_at)
             art_cols.append(art_at)
             art_at += 1
-        tableau.append(row)
+        rows.append(row)
+        dens.append(den)
 
     # Phase 1: minimize the sum of artificials.
     if art_cols:
-        cost = [Fraction(0)] * (ncols + 1)
+        cost = [0] * (ncols + 1)
         for col in art_cols:
-            cost[col] = Fraction(1)
-        for r, b in enumerate(basis):
-            if cost[b]:
-                factor = cost[b]
-                for j in range(ncols + 1):
-                    cost[j] -= factor * tableau[r][j]
-        status = _run_simplex(tableau, cost, basis)
+            cost[col] = 1
+        cost = _price_out((cost, 1), rows, basis)
+        status, cost = _run_simplex(rows, dens, cost, basis)
         assert status == OPTIMAL  # phase 1 is bounded below by 0
-        if -cost[-1] != 0:
+        if cost[0][-1] != 0:
             return LPResult(INFEASIBLE)
         # Pivot lingering zero-level artificials out, or drop empty rows.
         art_set = set(art_cols)
-        for r in range(len(tableau) - 1, -1, -1):
+        for r in range(len(rows) - 1, -1, -1):
             if basis[r] in art_set:
                 pc = next(
-                    (
-                        j
-                        for j in range(ncols)
-                        if j not in art_set and tableau[r][j] != 0
-                    ),
+                    (j for j in range(ncols) if j not in art_set and rows[r][j]),
                     None,
                 )
                 if pc is None:
-                    del tableau[r]
+                    del rows[r]
+                    del dens[r]
                     del basis[r]
                 else:
-                    dummy = [Fraction(0)] * (ncols + 1)
-                    _pivot(tableau, dummy, basis, r, pc)
-        for row in tableau:
+                    _pivot(rows, dens, basis, r, pc)
+        for row in rows:
             for col in art_cols:
-                row[col] = Fraction(0)
+                row[col] = 0
 
     # Phase 2.
-    cost = [Fraction(0)] * (ncols + 1)
-    for j, c in enumerate(obj):
-        cost[j] = c
-    for col in art_cols if art_cols else ():
-        cost[col] = Fraction(0)
-    for r, b in enumerate(basis):
-        if cost[b]:
-            factor = cost[b]
-            for j in range(ncols + 1):
-                cost[j] -= factor * tableau[r][j]
-    status = _run_simplex(tableau, cost, basis)
+    cost = _price_out((obj + [0] * (ncols - nvars + 1), obj_den), rows, basis)
+    status, cost = _run_simplex(rows, dens, cost, basis)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
 
     solution = [Fraction(0)] * nvars
     for r, b in enumerate(basis):
         if b < nvars:
-            solution[b] = tableau[r][-1]
-    value = -cost[-1]
+            solution[b] = Fraction(rows[r][-1], dens[r])
+    value = Fraction(-cost[0][-1], cost[1])
     if maximize:
         value = -value
     return LPResult(OPTIMAL, value, solution)

@@ -89,6 +89,29 @@ def test_tampered_certificate_fails_verification():
     assert not verify_certificate(bad, q)
 
 
+@pytest.mark.parametrize("broken", [
+    "negative multiplier", "not a generator", "support mismatch",
+    "sum not one", "no dominance",
+])
+def test_each_certificate_check_rejects_its_tamper(broken):
+    """Each tamper breaks exactly one check; the untampered cert passes."""
+    gens = ((2, 2), (0, 1), (1, 0), (1, 1))
+    q = DominanceQuery((1, Fraction(3, 2)), gens, "below", tight=True)
+    good = (((1, 1), H), ((2, 2), H))  # combination (3/2, 3/2)
+    coeffs = {
+        "negative multiplier": (((2, 2), Fraction(3, 2)), ((1, 1), -H)),
+        "not a generator": (((3, 3), Fraction(1)),),
+        "support mismatch": (((0, 1), H), ((2, 2), H)),
+        "sum not one": (((1, 1), Fraction(2)),),
+        "no dominance": (((1, 1), Fraction(1)),),
+    }[broken]
+    assert verify_certificate(Certificate(True, q.target, "below", good), q)
+    assert not verify_certificate(Certificate(True, q.target, "below", coeffs), q)
+    if broken == "support mismatch":
+        loose = DominanceQuery(q.target, gens, "below")
+        assert verify_certificate(Certificate(True, q.target, "below", coeffs), loose)
+
+
 def test_fm_cross_check_counts_and_agrees():
     with fm_cross_check() as stats:
         before = stats["checked"]

@@ -114,3 +114,94 @@ def test_lp_optimum_is_certified_by_feasibility_probes():
             [0] * nv, cons + [(obj, ">=", r.objective + Fraction(1, 1000))]
         )
         assert probe_hi.status == INFEASIBLE
+
+
+def _random_lp(rng):
+    """A small LP with mixed relations, negative right-hand sides and rationals."""
+
+    def num():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+
+    nv = rng.randint(1, 4)
+    cons = [
+        ([num() for _ in range(nv)], rng.choice(["<=", ">=", "=="]), num())
+        for _ in range(rng.randint(1, 5))
+    ]
+    return [num() for _ in range(nv)], cons, rng.random() < 0.5
+
+
+def _holds(lhs, rel, rhs):
+    return lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
+
+
+def _dual(objective, constraints, maximize):
+    """The dual of min c.x (c = -objective when maximizing), in solve_lp's form.
+
+    Dual variable y_i is >= 0 for a ">=" row, <= 0 for "<=" and free
+    for "=="; it is written as signed nonnegative columns.
+    """
+    c = [-v for v in objective] if maximize else list(objective)
+    cols = []
+    for i, (_, rel, _) in enumerate(constraints):
+        if rel != "<=":
+            cols.append((i, 1))
+        if rel != ">=":
+            cols.append((i, -1))
+    dual_obj = [s * constraints[i][2] for i, s in cols]
+    dual_cons = [
+        ([s * constraints[i][0][j] for i, s in cols], "<=", c[j])
+        for j in range(len(c))
+    ]
+    return solve_lp(dual_obj, dual_cons, maximize=True)
+
+
+def test_random_lps_agree_with_fm_and_duality():
+    """Feasibility matches Fourier-Motzkin; optima are exact and dual-tight."""
+    rng = random.Random(20240)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for _ in range(500):
+        objective, cons, maximize = _random_lp(rng)
+        nv = len(objective)
+        r = solve_lp(objective, cons, maximize=maximize)
+        seen[r.status] += 1
+
+        fmrows = [([Fraction(int(i == j)) for j in range(nv)], Fraction(0))
+                  for i in range(nv)]
+        for coeffs, rel, rhs in cons:
+            if rel != "<=":
+                fmrows.append((coeffs, rhs))
+            if rel != ">=":
+                fmrows.append(([-c for c in coeffs], -rhs))
+        assert (r.status != INFEASIBLE) == fm_feasible(fmrows, nv)
+
+        dual = _dual(objective, cons, maximize)
+        if r.status == OPTIMAL:
+            x = r.solution
+            assert all(v >= 0 for v in x)
+            for coeffs, rel, rhs in cons:
+                assert _holds(sum(a * v for a, v in zip(coeffs, x)), rel, rhs)
+            assert r.objective == sum(c * v for c, v in zip(objective, x))
+            assert dual.status == OPTIMAL
+            assert r.objective == (-dual.objective if maximize else dual.objective)
+        elif r.status == UNBOUNDED:
+            assert dual.status == INFEASIBLE
+        else:
+            assert dual.status in (INFEASIBLE, UNBOUNDED)
+    assert min(seen.values()) > 50
+
+
+def test_degenerate_lp_keeps_its_bland_solution():
+    """Several optima (x3 is free along the optimal face) and ratio ties
+    (a repeated row, a zero right-hand side): the vertex returned is the
+    one Bland's rule reaches, so any other pivot rule fails here."""
+    cons = [
+        ([1, -1, 1, -1], "<=", 2),
+        ([1, 2, 0, 1], "<=", 2),
+        ([1, 2, 0, 1], "<=", 2),
+        ([0, 1, 0, 0], "<=", 0),
+    ]
+    r = solve_lp([-1, -3, 0, -2], cons)
+    assert r.status == OPTIMAL and r.objective == -4
+    assert r.solution == [0, 0, 4, 2]
+    other = solve_lp([-1, -3, 0, -2], cons + [([0, 0, 1, 0], "<=", 0)])
+    assert other.objective == -4  # x3 = 0 is optimal too
