@@ -395,7 +395,7 @@ def boolean_versions_agree(b: VectorSet, a: VectorSet) -> bool:
     """Same boolean function: tables when arity permits, similarity beyond."""
     if a.n != b.n:
         raise UsageError("arity mismatch")
-    if a.n <= guards.TABLE_VARIABLES:
+    if a.n <= guards.current().table_variables:
         return boolean_function_of(b) == boolean_function_of(a)
     return similar(a, b)
 

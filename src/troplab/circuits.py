@@ -304,11 +304,10 @@ def _minkowski_sum(a, b, guard, gate):
     return frozenset(out)
 
 
-def produced_node_sets(c: Circuit, max_vectors: int | None = None):
+def produced_node_sets(c: Circuit):
     """Set of produced vectors at every node, keyed by node id."""
     c.require_valid()
-    if max_vectors is None:
-        max_vectors = guards.PRODUCED_VECTORS
+    cap = guards.current().produced_vectors
     zero = (0,) * c.n
     sets = {}
     for nid, node in c.nodes:
@@ -320,19 +319,19 @@ def produced_node_sets(c: Circuit, max_vectors: int | None = None):
             sets[nid] = frozenset({zero})
         elif isinstance(node, Add):
             merged = sets[node.left] | sets[node.right]
-            if len(merged) > max_vectors:
+            if len(merged) > cap:
                 raise GuardExceeded(
-                    f"produced set exceeds {max_vectors} vectors at gate {nid}"
+                    f"produced set exceeds {cap} vectors at gate {nid}"
                 )
             sets[nid] = merged
         else:
-            sets[nid] = _minkowski_sum(sets[node.left], sets[node.right], max_vectors, nid)
+            sets[nid] = _minkowski_sum(sets[node.left], sets[node.right], cap, nid)
     return sets
 
 
-def produced_set(c: Circuit, max_vectors: int | None = None) -> VectorSet:
+def produced_set(c: Circuit) -> VectorSet:
     """Vectors produced at the output node (tag-independent)."""
-    return VectorSet(c.n, produced_node_sets(c, max_vectors)[c.output])
+    return VectorSet(c.n, produced_node_sets(c)[c.output])
 
 
 # ---------------------------------------------------------------------------

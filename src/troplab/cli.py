@@ -13,7 +13,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import builders, certify, families, generators, greedy, sumsets
+from . import builders, certify, families, generators, greedy, guards, sumsets
 from .circuits import (
     BOOLEAN,
     MINPLUS,
@@ -306,11 +306,15 @@ def _cmd_bound(args) -> int:
     else:
         b = sumsets.counting_bound(args.n, parse_rational(args.t))
         report.line("t", b.t)
-        report.line("log2 circuits (approx)", f"{b.circuit_count_log2:.1f}")
-        report.line("log2 matroids", b.matroid_count_log2)
-        report.line("strictly fewer circuits", b.strictly_fewer_circuits,
-                    b.strictly_fewer_circuits)
+        _counting_rows(b, report)
     return 3 if report.failed else 0
+
+
+def _counting_rows(b, report: _Report):
+    report.line("log2 circuits (approx)", f"{b.circuit_count_log2:.1f}")
+    report.line("log2 matroids", b.matroid_count_log2)
+    report.line("strictly fewer circuits", b.strictly_fewer_circuits,
+                b.strictly_fewer_circuits)
 
 
 def _cmd_greedy(args, run_fn) -> int:
@@ -424,11 +428,7 @@ def _report_decomposition(args, report: _Report):
 
 
 def _report_counting(args, report: _Report):
-    b = sumsets.counting_bound(args.n, parse_rational(args.t))
-    report.line("log2 circuits (approx)", f"{b.circuit_count_log2:.1f}")
-    report.line("log2 matroids", b.matroid_count_log2)
-    report.line("strictly fewer circuits", b.strictly_fewer_circuits,
-                b.strictly_fewer_circuits)
+    _counting_rows(sumsets.counting_bound(args.n, parse_rational(args.t)), report)
     frac = families.kdense_sampling_experiment(args.sample_n, args.trials, args.seed)
     report.line(f"dense fraction (n={args.sample_n})", frac, frac >= Fraction(19, 20))
 
@@ -460,13 +460,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--decimal", type=int, default=None,
                      help="also render rationals with this many decimals (display only)")
-    top.add_argument("--max-produced", type=int, default=None,
+    top.add_argument("--max-produced", type=int, dest="produced_vectors",
                      help="override the produced-set vector guard")
-    top.add_argument("--max-dense-ground", type=int, default=None,
+    top.add_argument("--max-dense-ground", type=int, dest="dense_ground",
                      help="override the denseness ground-set guard")
-    top.add_argument("--max-sidon", type=int, default=None,
+    top.add_argument("--max-sidon", type=int, dest="sidon_vectors",
                      help="override the Sidon scan size guard")
-    top.add_argument("--max-matchings", type=int, default=None,
+    top.add_argument("--max-matchings", type=int, dest="matchings",
                      help="override the hypergraph matchings guard")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -640,20 +640,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    from . import guards
-
-    overrides = {
-        "PRODUCED_VECTORS": args.max_produced,
-        "DENSE_GROUND": args.max_dense_ground,
-        "SIDON_VECTORS": args.max_sidon,
-        "MATCHINGS": args.max_matchings,
-    }
-    saved = {name: getattr(guards, name) for name in overrides}
-    for name, value in overrides.items():
-        if value is not None:
-            guards.set_guard(name, value)
+    fields = ("produced_vectors", "dense_ground", "sidon_vectors", "matchings")
+    changes = {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
     try:
-        return args.fn(args)
+        with guards.limits(**changes):
+            return args.fn(args)
     except GuardExceeded as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 2
@@ -663,9 +654,6 @@ def main(argv=None) -> int:
     except (UsageError, TropLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        for name, value in saved.items():
-            guards.set_guard(name, value)
 
 
 if __name__ == "__main__":

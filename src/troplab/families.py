@@ -143,7 +143,7 @@ def optimum(family: SetFamily, x, sense: str) -> Fraction:
         raise UsageError(f"sense must be 'min' or 'max', got {sense!r}")
     if not family.masks:
         raise UsageError("optimum of an empty family")
-    weights = list(x.values if isinstance(x, Weighting) else x)
+    weights = list(x)
     if len(weights) != family.n:
         raise UsageError(f"weighting arity {len(weights)} != ground size {family.n}")
     best = None
@@ -183,8 +183,8 @@ def uniform_size(family: SetFamily):
 def is_k_dense(family: SetFamily, k: int) -> bool:
     """Every k-subset of the ground set lies inside some member."""
     n = family.n
-    if n > guards.DENSE_GROUND:
-        raise GuardExceeded(f"denseness check limited to n <= {guards.DENSE_GROUND}")
+    if n > guards.current().dense_ground:
+        raise GuardExceeded(f"denseness check limited to n <= {guards.current().dense_ground}")
     if k < 0 or k > n:
         raise UsageError(f"k = {k} out of range")
     if k == 0:
@@ -226,8 +226,8 @@ def is_separated(family: SetFamily) -> bool:
 def is_sidon_vectors(vectors: VectorSet) -> bool:
     """a+b = c+d forces {a,b} = {c,d}; checked over all unordered pairs."""
     vecs = vectors.sorted_vectors()
-    if len(vecs) > guards.SIDON_VECTORS:
-        raise GuardExceeded(f"Sidon check limited to {guards.SIDON_VECTORS} vectors")
+    if len(vecs) > guards.current().sidon_vectors:
+        raise GuardExceeded(f"Sidon check limited to {guards.current().sidon_vectors} vectors")
     sums = {}
     for i in range(len(vecs)):
         for j in range(i, len(vecs)):
@@ -338,9 +338,9 @@ class BooleanTable:
     __slots__ = ("n", "bits")
 
     def __init__(self, n: int, bits: int):
-        if n > guards.TABLE_VARIABLES:
+        if n > guards.current().table_variables:
             raise GuardExceeded(
-                f"truth tables limited to {guards.TABLE_VARIABLES} variables")
+                f"truth tables limited to {guards.current().table_variables} variables")
         self.n = n
         self.bits = bits
 
@@ -384,9 +384,9 @@ def boolean_function_of(a: VectorSet) -> BooleanTable:
     ORs on the 2^n-bit table, so n = 20 stays cheap.
     """
     n = a.n
-    if n > guards.TABLE_VARIABLES:
+    if n > guards.current().table_variables:
         raise GuardExceeded(
-            f"truth tables limited to {guards.TABLE_VARIABLES} variables")
+            f"truth tables limited to {guards.current().table_variables} variables")
     bits = 0
     for sup in a.supports():
         mask = 0

@@ -56,10 +56,9 @@ class HypergraphSpec:
     def __post_init__(self):
         if self.m < 1 or self.k < 2:
             raise UsageError("need m >= 1 and k >= 2")
-        if factorial(self.m) ** (self.k - 1) > guards.MATCHINGS:
-            raise GuardExceeded(
-                f"(m!)^(k-1) exceeds the {guards.MATCHINGS} matchings guard"
-            )
+        limit = guards.current().matchings
+        if factorial(self.m) ** (self.k - 1) > limit:
+            raise GuardExceeded(f"(m!)^(k-1) exceeds the {limit} matchings guard")
 
     @property
     def ground_size(self) -> int:

@@ -136,9 +136,9 @@ def canonical_modulus(p: int, k: int):
         raise UsageError(f"unsupported characteristic {p}; supported: {SUPPORTED_PRIMES}")
     if k < 1:
         raise UsageError("extension degree must be >= 1")
-    if p**k > guards.FIELD_ORDER:
-        raise GuardExceeded(
-            f"field GF({p}^{k}) exceeds the {guards.FIELD_ORDER}-element guard")
+    limit = guards.current().field_order
+    if p**k > limit:
+        raise GuardExceeded(f"field GF({p}^{k}) exceeds the {limit}-element guard")
     modulus = CANONICAL_MODULI.get((p, k))
     if modulus is None:
         modulus = _search_modulus(p, k)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalCheck, UsageError
-from .families import SetFamily, Weighting, is_antichain, matroid_check, optimum, uniform_size
+from .families import SetFamily, is_antichain, matroid_check, optimum, uniform_size
 
 
 @dataclass(frozen=True)
@@ -81,16 +81,12 @@ def _finish(family, weights, sense, strategy, order, solution_mask) -> GreedyRun
     return GreedyRun(sense, strategy, solution, value, opt, ratio, order)
 
 
-def _weights_of(x):
-    return list(x.values if isinstance(x, Weighting) else x)
-
-
 def _run(family: SetFamily, x, sense: str, strategy: str) -> GreedyRun:
     if sense not in ("min", "max"):
         raise UsageError("sense must be 'min' or 'max'")
     if not is_antichain(family):
         raise UsageError("greedy needs an antichain family")
-    weights = _weights_of(x)
+    weights = list(x)
     if len(weights) != family.n:
         raise UsageError("weighting arity mismatch")
     heaviest = strategy == "heaviest-first"

@@ -1,18 +1,38 @@
-"""Resource-guard registry.
+"""Resource limits, private to each thread and asyncio task.
 
-Every potentially explosive computation checks one of these caps and
-raises GuardExceeded past it.  The CLI exposes them as --max-* flags;
-library callers can pass explicit per-call limits where the operation
-accepts one (produced sets) or adjust the registry.
+Every potentially explosive computation reads one field of `current()`
+and raises GuardExceeded past it; `limits(**changes)` replaces fields
+for one `with` block in the calling context only.
 """
 
-PRODUCED_VECTORS = 10**6   # vectors per produced set
-DENSE_GROUND = 24          # ground-set size for denseness checks
-SIDON_VECTORS = 128        # vectors for the Sidon pair-sum scan
-MATCHINGS = 10**5          # perfect matchings per hypergraph family
-TABLE_VARIABLES = 20       # truth-table arity
-FIELD_ORDER = 1 << 16      # elements per finite field
+import dataclasses
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 
-def set_guard(name: str, value: int):
-    globals()[name] = value
+@dataclasses.dataclass(frozen=True)
+class Limits:
+    produced_vectors: int = 10**6   # vectors per produced set
+    dense_ground: int = 24          # ground-set size for denseness checks
+    sidon_vectors: int = 128        # vectors for the Sidon pair-sum scan
+    matchings: int = 10**5          # perfect matchings per hypergraph family
+    table_variables: int = 20       # truth-table arity
+    field_order: int = 1 << 16      # elements per finite field
+
+
+_current = ContextVar("troplab_limits", default=Limits())
+
+
+def current() -> Limits:
+    """The limits in force in the calling context."""
+    return _current.get()
+
+
+@contextmanager
+def limits(**changes):
+    """Replace some limits for a block; an unknown name raises TypeError."""
+    token = _current.set(dataclasses.replace(_current.get(), **changes))
+    try:
+        yield _current.get()
+    finally:
+        _current.reset(token)

@@ -78,15 +78,14 @@ class NormMeasure:
         return True
 
 
-def residues(circuit: Circuit, max_vectors: int | None = None) -> list[GateSumset]:
+def residues(circuit: Circuit) -> list[GateSumset]:
     """Sumset pr(v) + res(v) for every node, input nodes included.
 
     res(v) = {y : pr(v) + y inside B}; candidates are differences b - x
     over b in B, x in pr(v), then filtered by translating all of pr(v).
     The defining containment pr(v) + res(v) inside B is asserted.
     """
-    kwargs = {} if max_vectors is None else {"max_vectors": max_vectors}
-    per_node = produced_node_sets(circuit, **kwargs)
+    per_node = produced_node_sets(circuit)
     b_set = per_node[circuit.output]
     out = []
     for nid, _ in circuit.nodes:
@@ -254,14 +253,17 @@ def balanced_in_rectangle(
     r = Fraction(r)
     beta = Fraction(beta)
     size = f_mask.bit_count()
+    a_min = beta * size / (2 * r)
+    union_min = size / r
+    b_min = (1 - beta) * size / r
     for amask in rect.a_side:
         ca = (f_mask & amask).bit_count()
-        if not ca > beta * size / (2 * r):
+        if not ca > a_min:
             continue
         for bmask in rect.b_side:
             cb = (f_mask & bmask).bit_count()
             cu = (f_mask & (amask | bmask)).bit_count()
-            if cu >= size / r and cb >= (1 - beta) * size / r:
+            if cu >= union_min and cb >= b_min:
                 return True
     return False
 

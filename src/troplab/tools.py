@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import guards
 from .circuits import (
     BOOLEAN,
     MINKOWSKI,
@@ -44,7 +45,8 @@ def _bounded(rng, make, cap):
     while True:
         c = make()
         try:
-            b = produced_set(c, max_vectors=cap)
+            with guards.limits(produced_vectors=cap):
+                b = produced_set(c)
         except GuardExceeded:
             continue
         zero = (0,) * c.n

@@ -12,6 +12,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from troplab import guards
 from troplab.builders import edge_count, edge_var
 from troplab.circuits import MAXPLUS, MINPLUS, VectorSet, produced_set
 
@@ -79,6 +80,14 @@ def tropical_value_oracle(circuit, x) -> Fraction:
         sum(Fraction(xi) * bi for xi, bi in zip(x, b))
         for b in produced_set(circuit)
     )
+
+
+@pytest.fixture(autouse=True)
+def _limits_left_unchanged():
+    """Fail any test that leaves the resource limits changed."""
+    before = guards.current()
+    yield
+    assert guards.current() == before, "test left troplab.guards limits changed"
 
 
 @pytest.fixture

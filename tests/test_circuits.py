@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import tropical_value_oracle
+from troplab import guards
 from troplab.circuits import (
     ARITHMETIC,
     BOOLEAN,
@@ -99,8 +100,8 @@ def test_produced_set_guard_names_gate():
         nodes.append((f"m{i}", Mul(prev, prev)))
         prev = f"m{i}"
     c = _c(MINKOWSKI, 2, nodes, prev)
-    with pytest.raises(GuardExceeded) as err:
-        produced_set(c, max_vectors=100)
+    with guards.limits(produced_vectors=100), pytest.raises(GuardExceeded) as err:
+        produced_set(c)
     assert "at gate m" in str(err.value)
 
 

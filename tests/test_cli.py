@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import simple_path_vectors
-from troplab import certify
+from troplab import certify, cli, guards
 from troplab.cli import main
 from troplab.families import serialize_vectors
 
@@ -156,10 +156,19 @@ def test_produced_guard_exit_code(tmp_path, capsys):
     ckt.write_text("\n".join(lines) + "\n")
     code, _, err = run_cli(capsys, "--max-produced", "50", "produced", str(ckt))
     assert code == 2 and "resource guard" in err
-    # the override is restored afterwards
-    from troplab import guards
+    # the override is scoped to the one command
+    assert guards.current() == guards.Limits()
 
-    assert guards.PRODUCED_VECTORS == 10**6
+
+def test_max_flags_set_limits_for_one_command(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_validate", lambda args: seen.append(guards.current()) or 0)
+    code = main(["--max-produced", "7", "--max-dense-ground", "30", "--max-sidon", "300",
+                 "--max-matchings", "9", "validate", "unused.ckt"])
+    assert code == 0
+    assert seen == [guards.Limits(produced_vectors=7, dense_ground=30,
+                                  sidon_vectors=300, matchings=9)]
+    assert guards.current() == guards.Limits()
 
 
 def test_report_suites_smoke(capsys):

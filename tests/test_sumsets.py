@@ -145,6 +145,13 @@ def test_balanced_strictness_boundary():
     assert not balanced_in_rectangle(f_mask, rect, r, beta)
     # dropping beta to 1/3 moves the threshold to 2/3 < 1 and it holds
     assert balanced_in_rectangle(f_mask, rect, r, F(1, 3))
+    # the union and B-side thresholds are not strict: equality passes
+    # |F n (A u B)| = 2 == |F|/r = 2 (|F n A| = 1 > 3/4, |F n B| = 1 > 1/2)
+    union_tight = Rectangle.from_supports(4, [{0}], [{1}])
+    assert balanced_in_rectangle(f_mask, union_tight, F(2), F(3, 4))
+    # |F n B| = 1 == ((1-beta)/r)|F| = 1 (|F n A| = 2 > 1/2, |F n (A u B)| = 3 > 2)
+    b_tight = Rectangle.from_supports(4, [{0, 1}], [{2}])
+    assert balanced_in_rectangle(f_mask, b_tight, F(2), F(1, 2))
 
 
 def test_balanced_empty_rectangle():
