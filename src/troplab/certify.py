@@ -23,6 +23,13 @@ exact simplex runs.  Every returned witness is re-verified
 by direct arithmetic; the test suite additionally replays small
 verdicts through an independent Fourier-Motzkin oracle.
 
+Each call of _certify, exact_factor and semantic_degree sorts and
+dedups its generator sets once, into GeneratorTables that carry every
+generator's support as a bitmask; support filters and certificate
+checks compare those masks.  Each query still goes through the
+module-level lp_feasible binding, one call per query, so a wrapper
+installed on that binding sees every query.
+
 Circuits with constant inputs are certified through their constant-free
 core (strip_constants is applied up front): eliminating constants
 preserves any approximation factor the original circuit achieves, so
@@ -55,12 +62,36 @@ from .rationals import clear_denominators
 from .simplex import OPTIMAL, solve_lp
 
 
+def _mask(v) -> int:
+    """supp(v) as a bitmask: bit i is set iff v[i] is nonzero."""
+    return sum(1 << i for i, c in enumerate(v) if c)
+
+
+class GeneratorTable(tuple):
+    """Sorted distinct generators, each with its support bitmask in `masks`.
+
+    A certify call builds one table per generator set and passes it as
+    DominanceQuery.generators to every query, so sorting, dedup and
+    supports are computed once per call, not once per query.
+    """
+
+    def __new__(cls, vectors):
+        table = super().__new__(cls, sorted(set(map(tuple, vectors))))
+        table.masks = {v: _mask(v) for v in table}
+        return table
+
+
+def _table(gens) -> GeneratorTable:
+    return gens if isinstance(gens, GeneratorTable) else GeneratorTable(gens)
+
+
 @dataclass(frozen=True)
 class DominanceQuery:
     """Does u lie below/above some convex combination of the generators?
 
     direction "below" asks for u <= c, "above" for u >= c.  With
     tight=True only generators whose support equals supp(u) are used.
+    The generators are any vectors or a GeneratorTable of them.
     """
 
     target: tuple
@@ -118,10 +149,10 @@ def verify_certificate(cert: Certificate, query: DominanceQuery) -> bool:
         return True
     if cert.coefficients is None:
         return False
-    usupp = support(query.target)
-    gen_set = set(query.generators)
+    umask = _mask(query.target)
+    masks = _table(query.generators).masks
     for vec, _ in cert.coefficients:
-        if vec not in gen_set or (query.tight and support(vec) != usupp):
+        if vec not in masks or (query.tight and masks[vec] != umask):
             return False
     lams, lam_den = clear_denominators([lam for _, lam in cert.coefficients])
     if any(lam < 0 for lam in lams) or sum(lams) != lam_den:
@@ -137,15 +168,15 @@ def verify_certificate(cert: Certificate, query: DominanceQuery) -> bool:
     return True
 
 
-def _admissible(gens, usupp, tight):
+def _admissible(table, umask, tight):
     """Generators that may enter a combination above (or tight to) supp(u).
 
     An "above" combination may not use a coordinate outside supp(u); a
-    tight one must use exactly supp(u).
+    tight one must use exactly supp(u).  umask is supp(u) as a bitmask.
     """
     if tight:
-        return [v for v in gens if support(v) == usupp]
-    return [v for v in gens if support(v) <= usupp]
+        return [v for v, m in table.masks.items() if m == umask]
+    return [v for v, m in table.masks.items() if m | umask == umask]
 
 
 def _combination_lp(target, gens, below, scaled):
@@ -183,11 +214,10 @@ def _combination_lp(target, gens, below, scaled):
 def lp_feasible(query: DominanceQuery) -> Certificate:
     """Decide a dominance query exactly; witnesses are re-verified."""
     nums, den = clear_denominators(query.target)
-    usupp = support(nums)
     below = query.direction == "below"
-    gens = sorted(set(tuple(v) for v in query.generators))
+    gens = _table(query.generators)
     if query.tight or not below:
-        gens = _admissible(gens, usupp, query.tight)
+        gens = _admissible(gens, _mask(nums), query.tight)
         if not gens:
             note = ("empty support filter" if query.tight
                     else "no generators inside the target support")
@@ -266,8 +296,8 @@ def _certify(circuit: Circuit, a: VectorSet, r: Fraction, sense: str) -> Certifi
         raise UsageError("approximation factors are >= 1")
     _require_problem_set(a)
     b = _core_produced(circuit, MAXPLUS if sense == "max" else MINPLUS)
-    gens_a = tuple(a.sorted_vectors())
-    gens_b = tuple(b.sorted_vectors())
+    gens_a = GeneratorTable(a.vectors)
+    gens_b = GeneratorTable(b.vectors)
     direction = "below" if sense == "max" else "above"
     scale = 1 / r if sense == "max" else r
     tight = sense == "min" and is_zero_one_antichain(a)
@@ -314,12 +344,8 @@ class FactorResult:
     value: Fraction | None = None
     witness: tuple | None = None  # vector attaining/blocking the factor
 
-    @property
-    def is_finite(self) -> bool:
-        return self.status == "rational"
 
-
-def _vector_factor(a_vec, gens_b, sense, tight):
+def _vector_factor(a_vec, gens_b: GeneratorTable, sense, tight):
     """Least factor for one feasible vector against the produced set.
 
     sense "max": 1/t for the largest t with t*a below conv(gens_b).
@@ -330,7 +356,7 @@ def _vector_factor(a_vec, gens_b, sense, tight):
     if sense == "max":
         gens = gens_b
     else:
-        gens = _admissible(gens_b, support(a_vec), tight)
+        gens = _admissible(gens_b, _mask(a_vec), tight)
         if not gens:
             return None
     _, result = _combination_lp(a_vec, gens, sense == "max", scaled=True)
@@ -353,15 +379,17 @@ def exact_factor(circuit: Circuit, a: VectorSet, sense: str) -> FactorResult:
         raise UsageError("sense must be 'min' or 'max'")
     _require_problem_set(a)
     b = _core_produced(circuit, MAXPLUS if sense == "max" else MINPLUS)
-    gens_a = tuple(a.sorted_vectors())
-    gens_b = tuple(b.sorted_vectors())
+    gens_a = GeneratorTable(a.vectors)
+    gens_b = GeneratorTable(b.vectors)
     direction = "below" if sense == "max" else "above"
     tight = sense == "min" and is_zero_one_antichain(a)
 
     for v in gens_b:
         if tight:
-            # on 0-1 antichains validity is pointwise domination
-            ok = any(all(vi >= ai for vi, ai in zip(v, av)) for av in gens_a)
+            # on 0-1 antichains validity is pointwise domination: v >= a
+            # iff supp(a) lies inside supp(v)
+            vm = gens_b.masks[v]
+            ok = any(am & vm == am for am in gens_a.masks.values())
         else:
             ok = lp_feasible(DominanceQuery(v, gens_a, direction)).feasible
         if not ok:
@@ -415,7 +443,7 @@ def semantic_degree(circuit: Circuit, a: VectorSet) -> Fraction:
     if not boolean_versions_agree(b, a):
         raise UsageError("circuit does not compute the boolean function of A")
     degree = Fraction(1)
-    produced = b.sorted_vectors()
+    produced = GeneratorTable(b.vectors)
     for av in a.sorted_vectors():
         if tuple(av) in b:
             continue  # that minterm is produced as-is: its contribution is 1

@@ -9,6 +9,12 @@ union/Minkowski-sum on vector sets.  The set of exponent vectors a
 circuit produces is tag-independent and is the object most analyses
 work on.
 
+Produced sets are computed on packed ints (Kronecker substitution): a
+vector v becomes the sum of v[i] << (w * i), where 2**w exceeds the
+formal degree of every node, so no digit ever carries.  A union gate
+is then a set union and a sum gate a set of int additions; vectors are
+unpacked into tuples only when a produced set is returned.
+
 Size conventions follow the usual one for monotone circuits: the size
 of a circuit is its number of Add/Mul gates; input nodes are free.
 """
@@ -71,6 +77,14 @@ class VectorSet:
                 raise UsageError(f"vector {v} has a negative entry")
         self.n = n
         self.vectors = vecs
+
+    @classmethod
+    def _of_checked(cls, n: int, vectors: frozenset) -> "VectorSet":
+        """Wrap distinct tuples of n nonnegative ints without re-checking them."""
+        vs = object.__new__(cls)
+        vs.n = n
+        vs.vectors = vectors
+        return vs
 
     def sorted_vectors(self):
         return sorted(self.vectors)
@@ -292,46 +306,61 @@ def evaluate(c: Circuit, x):
 # Produced sets
 
 
-def _minkowski_sum(a, b, guard, gate):
-    out = set()
-    for u in a:
-        for v in b:
-            out.add(tuple(ui + vi for ui, vi in zip(u, v)))
-            if len(out) > guard:
-                raise GuardExceeded(
-                    f"produced set exceeds {guard} vectors at gate {gate}"
-                )
-    return frozenset(out)
+def _check_cap(vectors, cap, gate):
+    if len(vectors) > cap:
+        raise GuardExceeded(f"produced set exceeds {cap} vectors at gate {gate}")
+
+
+def _packed_node_sets(c: Circuit):
+    """Digit width and the packed produced set of every node.
+
+    A vector v is packed into the int sum of v[i] << (width * i).  No
+    entry at a node exceeds the node's formal degree, and 2**width
+    exceeds the largest degree of any node, reachable from the output or
+    not, so digits never carry: a union gate is a set union and a sum
+    gate adds ints.
+    """
+    c.require_valid()
+    cap = guards.current().produced_vectors
+    width = max(_node_degrees(c).values()).bit_length()
+    sets = {}
+    for nid, node in c.nodes:
+        if isinstance(node, Var):
+            sets[nid] = {1 << width * (node.index - 1)}
+        elif isinstance(node, Const):
+            sets[nid] = {0}
+        elif isinstance(node, Add):
+            sets[nid] = sets[node.left] | sets[node.right]
+            _check_cap(sets[nid], cap, nid)
+        else:
+            left, right = sets[node.left], sets[node.right]
+            if len(left) > len(right):
+                left, right = right, left
+            out = sets[nid] = set()
+            for u in left:
+                out.update(map(u.__add__, right))
+                _check_cap(out, cap, nid)
+    return width, sets
+
+
+def _unpack(packed, n: int, width: int):
+    """The vectors of a set of packed ints."""
+    mask = (1 << width) - 1
+    shifts = range(0, n * width, width)
+    return [tuple(p >> s & mask for s in shifts) for p in packed]
 
 
 def produced_node_sets(c: Circuit):
     """Set of produced vectors at every node, keyed by node id."""
-    c.require_valid()
-    cap = guards.current().produced_vectors
-    zero = (0,) * c.n
-    sets = {}
-    for nid, node in c.nodes:
-        if isinstance(node, Var):
-            e = [0] * c.n
-            e[node.index - 1] = 1
-            sets[nid] = frozenset({tuple(e)})
-        elif isinstance(node, Const):
-            sets[nid] = frozenset({zero})
-        elif isinstance(node, Add):
-            merged = sets[node.left] | sets[node.right]
-            if len(merged) > cap:
-                raise GuardExceeded(
-                    f"produced set exceeds {cap} vectors at gate {nid}"
-                )
-            sets[nid] = merged
-        else:
-            sets[nid] = _minkowski_sum(sets[node.left], sets[node.right], cap, nid)
-    return sets
+    width, sets = _packed_node_sets(c)
+    return {nid: frozenset(_unpack(packed, c.n, width))
+            for nid, packed in sets.items()}
 
 
 def produced_set(c: Circuit) -> VectorSet:
     """Vectors produced at the output node (tag-independent)."""
-    return VectorSet(c.n, produced_node_sets(c)[c.output])
+    width, sets = _packed_node_sets(c)
+    return VectorSet._of_checked(c.n, frozenset(_unpack(sets[c.output], c.n, width)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +461,8 @@ def strip_constants(c: Circuit) -> Circuit:
     return Circuit(c.semiring, c.n, nodes, root)
 
 
-def syntactic_degree(c: Circuit) -> int:
-    """Formal degree: inputs 1, Add = max of children, Mul = sum."""
-    c.require_valid()
+def _node_degrees(c: Circuit) -> dict:
+    """Formal degree of every node: inputs 1, Add = max of children, Mul = sum."""
     deg = {}
     for nid, node in c.nodes:
         if isinstance(node, (Var, Const)):
@@ -443,7 +471,13 @@ def syntactic_degree(c: Circuit) -> int:
             deg[nid] = max(deg[node.left], deg[node.right])
         else:
             deg[nid] = deg[node.left] + deg[node.right]
-    return deg[c.output]
+    return deg
+
+
+def syntactic_degree(c: Circuit) -> int:
+    """Formal degree of the output: inputs 1, Add = max of children, Mul = sum."""
+    c.require_valid()
+    return _node_degrees(c)[c.output]
 
 
 # ---------------------------------------------------------------------------

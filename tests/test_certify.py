@@ -150,6 +150,25 @@ def pair_family():
     return VectorSet(4, [(1, 1, 0, 0), (0, 0, 1, 1)])
 
 
+def test_certify_min_routes_each_query_through_lp_feasible(monkeypatch):
+    """One call per produced vector and one per feasible vector, made
+    through the module binding, on the call's two generator tables."""
+    c = bellman_ford_circuit(5, 1, 2, MINPLUS)
+    a = simple_path_vectors(5, 1, 2)
+    decide = certify.lp_feasible
+    queries = []
+
+    def spy(query):
+        queries.append(query)
+        return decide(query)
+
+    monkeypatch.setattr(certify, "lp_feasible", spy)
+    bundle = certify_min(c, a, 1)
+    assert bundle.verdict
+    assert len(queries) == len(produced_set(c)) + len(a)
+    assert len({id(q.generators) for q in queries}) == 2
+
+
 def test_certify_max_selection_against_dense_pairs():
     sel = selection_circuit(4, 1)
     assert certify_max(sel, pair_family(), 2).verdict

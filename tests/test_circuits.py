@@ -1,11 +1,13 @@
 """Circuit IR: validation, evaluation, produced sets, conversions."""
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import tropical_value_oracle
-from troplab import guards
+from troplab import circuits, guards
 from troplab.circuits import (
     ARITHMETIC,
     BOOLEAN,
@@ -17,9 +19,11 @@ from troplab.circuits import (
     Const,
     Mul,
     Var,
+    VectorSet,
     convert,
     evaluate,
     parse_circuit,
+    produced_node_sets,
     produced_set,
     serialize_circuit,
     strip_constants,
@@ -27,7 +31,7 @@ from troplab.circuits import (
     validate,
 )
 from troplab.errors import DegenerateCircuit, GuardExceeded, UsageError
-from troplab.tools import random_tropical_circuit
+from troplab.tools import random_monotone_boolean_circuit, random_tropical_circuit
 
 
 def _c(semiring, n, nodes, out):
@@ -93,7 +97,8 @@ def test_produced_set_examples():
 
 
 def test_produced_set_guard_names_gate():
-    # (x1 + x2)^(2^k) style doubling blows up the sumset
+    # (x1 + x2)^(2^k) style doubling blows up the sumset: sizes 3, 5, 9,
+    # ..., 65 at m0..m5, then 129 at the sum gate m6
     nodes = [("v1", Var(1)), ("v2", Var(2)), ("u", Add("v1", "v2"))]
     prev = "u"
     for i in range(12):
@@ -102,7 +107,94 @@ def test_produced_set_guard_names_gate():
     c = _c(MINKOWSKI, 2, nodes, prev)
     with guards.limits(produced_vectors=100), pytest.raises(GuardExceeded) as err:
         produced_set(c)
-    assert "at gate m" in str(err.value)
+    assert str(err.value) == "produced set exceeds 100 vectors at gate m6"
+    # a chain of unions passes 3 vectors at the union gate a2
+    unions = _c(MINKOWSKI, 4, [("v1", Var(1)), ("v2", Var(2)), ("v3", Var(3)),
+                               ("v4", Var(4)), ("a1", Add("v1", "v2")),
+                               ("a2", Add("a1", "v3")), ("a3", Add("a2", "v4"))], "a3")
+    with guards.limits(produced_vectors=2), pytest.raises(GuardExceeded) as err:
+        produced_node_sets(unions)
+    assert str(err.value) == "produced set exceeds 2 vectors at gate a2"
+
+
+def _reference_node_sets(c: Circuit):
+    """Produced sets on tuples, one vector sum at a time, as a reference."""
+    cap = guards.current().produced_vectors
+    sets = {}
+    for nid, node in c.nodes:
+        if isinstance(node, Var):
+            sets[nid] = {tuple(int(i == node.index - 1) for i in range(c.n))}
+        elif isinstance(node, Const):
+            sets[nid] = {(0,) * c.n}
+        else:
+            if isinstance(node, Add):
+                out = sets[node.left] | sets[node.right]
+            else:
+                out = {tuple(ui + vi for ui, vi in zip(u, v))
+                       for u in sets[node.left] for v in sets[node.right]}
+            if len(out) > cap:
+                raise GuardExceeded(f"produced set exceeds {cap} vectors at gate {nid}")
+            sets[nid] = out
+    return sets
+
+
+def _assert_matches_reference(c: Circuit):
+    want = _reference_node_sets(c)
+    assert produced_node_sets(c) == want
+    assert produced_set(c) == VectorSet(c.n, want[c.output])
+
+
+def test_produced_sets_match_tuple_reference(rng):
+    for _ in range(60):
+        _assert_matches_reference(random_tropical_circuit(rng)[0])
+    for _ in range(40):
+        _assert_matches_reference(random_monotone_boolean_circuit(rng, n=rng.randint(1, 6)))
+
+
+def test_produced_set_guard_matches_tuple_reference():
+    rng = random.Random(606)
+    hits = 0
+    for _ in range(80):
+        c, _ = random_tropical_circuit(rng, max_produced=200)
+        with guards.limits(produced_vectors=rng.choice((1, 2, 4, 8))):
+            try:
+                _reference_node_sets(c)
+            except GuardExceeded as want:
+                hits += 1
+                with pytest.raises(GuardExceeded, match=f"^{re.escape(str(want))}$"):
+                    produced_set(c)
+            else:
+                _assert_matches_reference(c)
+    assert hits > 10
+
+
+def test_packed_width_edge_cases():
+    # (x1 + x2)^3: degree 3 = 2**2 - 1, so entries fill a whole 2-bit digit
+    cube = _c(MINKOWSKI, 3, [("v1", Var(1)), ("v2", Var(2)), ("v3", Var(3)),
+                             ("u", Add("v1", "v2")), ("u2", Mul("u", "u")),
+                             ("u3", Mul("u2", "u"))], "u3")
+    assert circuits._packed_node_sets(cube)[0] == 2
+    assert produced_set(cube).sorted_vectors() == [
+        (0, 3, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0)]
+    _assert_matches_reference(cube)
+    # an unreachable x2^8 sets the width, above the output's degree 2
+    nodes = [("v1", Var(1)), ("v2", Var(2)), ("p0", Mul("v2", "v2"))]
+    for i in range(1, 3):
+        nodes.append((f"p{i}", Mul(f"p{i - 1}", f"p{i - 1}")))
+    nodes.append(("out", Mul("v1", "v2")))
+    far = _c(MINKOWSKI, 2, nodes, "out")
+    assert syntactic_degree(far) == 2
+    assert produced_node_sets(far)["p2"] == {(0, 8)}
+    assert produced_set(far).sorted_vectors() == [(1, 1)]
+    _assert_matches_reference(far)
+    # constants produce the zero vector and add nothing to a sum
+    consts = _c(MINPLUS, 2, [("v1", Var(1)), ("k", Const(Fraction(5, 2))),
+                             ("v2", Var(2)), ("m", Mul("v1", "k")),
+                             ("a", Add("m", "k")), ("s", Mul("a", "v2"))], "s")
+    assert produced_set(consts).sorted_vectors() == [(0, 1), (1, 1)]
+    _assert_matches_reference(consts)
+    only = _c(MINPLUS, 3, [("k", Const(Fraction(0)))], "k")
+    assert produced_set(only).sorted_vectors() == [(0, 0, 0)]
 
 
 def test_convert_preserves_produced_set_and_size():
