@@ -3,7 +3,7 @@
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import simple_path_vectors
+from conftest import simple_path_vectors, spanning_tree_vectors
 from troplab import certify, cli, guards
 from troplab.cli import main
 from troplab.families import serialize_vectors
@@ -191,16 +191,24 @@ GOLDEN = Path(__file__).parent / "golden" / "cli_transcript.txt"
 def test_cli_output_matches_golden_transcript(tmp_path, capsys, monkeypatch):
     """Exact stdout, certificate multipliers included, of each
     `$ troplab ...` command in the transcript, run on the design (3,2),
-    Bellman-Ford K4 and README star inputs."""
+    Bellman-Ford K4, spanning-tree K4, selection (4,2) and README star
+    inputs."""
     monkeypatch.chdir(tmp_path)
     run_cli(capsys, "gen", "design", "--m", "3", "--d", "2", "-o", "F.fam")
     run_cli(capsys, "build", "design-approx", "--m", "3", "--d", "2", "-o", "a.ckt")
+    run_cli(capsys, "convert", "a.ckt", "arithmetic", "-o", "a-arith.ckt")
     run_cli(capsys, "build", "bf", "--n", "4", "--minplus", "-o", "bf.ckt")
+    run_cli(capsys, "build", "bf", "--n", "4", "-o", "bf-bool.ckt")
+    run_cli(capsys, "build", "st-conn", "--n", "4", "-o", "st.ckt")
+    run_cli(capsys, "build", "sel", "--n", "4", "--k", "2", "-o", "sel.ckt")
+    run_cli(capsys, "convert", "sel.ckt", "arithmetic", "-o", "sel-arith.ckt")
     (tmp_path / "P.vec").write_text(serialize_vectors(simple_path_vectors(4, 1, 2)))
+    (tmp_path / "T.vec").write_text(serialize_vectors(spanning_tree_vectors(4)))
+    (tmp_path / "U.fam").write_text("family vars=4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
     (tmp_path / "star.fam").write_text("family vars=4\n1\n2 3 4\n")
     (tmp_path / "sw.txt").write_text("weights vars=4\n20/19\n1\n1\n1\n")
     commands = GOLDEN.read_text().split("$ troplab ")[1:]
-    assert len(commands) == 9
+    assert len(commands) == 17
     for chunk in commands:
         command, expected = chunk.split("\n", 1)
         assert run_cli(capsys, *command.split())[:2] == (0, expected), command
