@@ -23,12 +23,12 @@ exact simplex runs.  Every returned witness is re-verified
 by direct arithmetic; the test suite additionally replays small
 verdicts through an independent Fourier-Motzkin oracle.
 
-Each call of _certify, exact_factor and semantic_degree sorts and
-dedups its generator sets once, into GeneratorTables that carry every
-generator's support as a bitmask; support filters and certificate
-checks compare those masks.  Each query still goes through the
-module-level lp_feasible binding, one call per query, so a wrapper
-installed on that binding sees every query.
+Each call of _certify, exact_factor and semantic_degree sorts, dedups
+and arity-checks its generator sets once, into GeneratorTables that
+carry every generator's support bitmask (circuits.support); support
+filters and certificate checks compare those masks.  Each query still
+goes through the module-level lp_feasible binding, one call per query,
+so a wrapper installed on that binding sees every query.
 
 Circuits with constant inputs are certified through their constant-free
 core (strip_constants is applied up front): eliminating constants
@@ -62,27 +62,22 @@ from .rationals import clear_denominators
 from .simplex import OPTIMAL, solve_lp
 
 
-def _mask(v) -> int:
-    """supp(v) as a bitmask: bit i is set iff v[i] is nonzero."""
-    return sum(1 << i for i, c in enumerate(v) if c)
-
-
 class GeneratorTable(tuple):
-    """Sorted distinct generators, each with its support bitmask in `masks`.
+    """Sorted distinct generators of one arity `n`, with supports in `masks`.
 
     A certify call builds one table per generator set and passes it as
-    DominanceQuery.generators to every query, so sorting, dedup and
-    supports are computed once per call, not once per query.
+    DominanceQuery.generators to every query, so sorting, dedup, the
+    arity check and supports are computed once per call, not once per
+    query.
     """
 
     def __new__(cls, vectors):
         table = super().__new__(cls, sorted(set(map(tuple, vectors))))
-        table.masks = {v: _mask(v) for v in table}
+        table.n = len(table[0]) if table else 0
+        if any(len(v) != table.n for v in table):
+            raise UsageError("generator arity mismatch")
+        table.masks = {v: support(v) for v in table}
         return table
-
-
-def _table(gens) -> GeneratorTable:
-    return gens if isinstance(gens, GeneratorTable) else GeneratorTable(gens)
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,8 @@ class DominanceQuery:
 
     direction "below" asks for u <= c, "above" for u >= c.  With
     tight=True only generators whose support equals supp(u) are used.
-    The generators are any vectors or a GeneratorTable of them.
+    The generators are any vectors or a GeneratorTable of them; plain
+    vectors are turned into a table here.
     """
 
     target: tuple
@@ -104,10 +100,10 @@ class DominanceQuery:
             raise UsageError(f"direction must be below/above, got {self.direction!r}")
         if not self.generators:
             raise UsageError("empty generator set")
-        n = len(self.target)
-        for v in self.generators:
-            if len(v) != n:
-                raise UsageError("generator arity mismatch")
+        if not isinstance(self.generators, GeneratorTable):
+            object.__setattr__(self, "generators", GeneratorTable(self.generators))
+        if len(self.target) != self.generators.n:
+            raise UsageError("generator arity mismatch")
 
 
 @dataclass(frozen=True)
@@ -149,8 +145,8 @@ def verify_certificate(cert: Certificate, query: DominanceQuery) -> bool:
         return True
     if cert.coefficients is None:
         return False
-    umask = _mask(query.target)
-    masks = _table(query.generators).masks
+    umask = support(query.target)
+    masks = query.generators.masks
     for vec, _ in cert.coefficients:
         if vec not in masks or (query.tight and masks[vec] != umask):
             return False
@@ -190,7 +186,7 @@ def _combination_lp(target, gens, below, scaled):
     it (max when below, min otherwise); without, it is a feasibility LP.
     Returns the column representatives and the LP result.
     """
-    coords = sorted(support(target))
+    coords = [i for i, c in enumerate(target) if c]
     reps = {}
     for v in gens:
         reps.setdefault(tuple(v[i] for i in coords), v)
@@ -215,9 +211,9 @@ def lp_feasible(query: DominanceQuery) -> Certificate:
     """Decide a dominance query exactly; witnesses are re-verified."""
     nums, den = clear_denominators(query.target)
     below = query.direction == "below"
-    gens = _table(query.generators)
+    gens = query.generators
     if query.tight or not below:
-        gens = _admissible(gens, _mask(nums), query.tight)
+        gens = _admissible(gens, support(nums), query.tight)
         if not gens:
             note = ("empty support filter" if query.tight
                     else "no generators inside the target support")
@@ -286,7 +282,7 @@ def is_zero_one_antichain(a: VectorSet) -> bool:
         return False
     sups = list(a.supports())
     return not any(
-        s != t and s <= t for s in sups for t in sups
+        s != t and s & t == s for s in sups for t in sups
     )
 
 
@@ -356,7 +352,7 @@ def _vector_factor(a_vec, gens_b: GeneratorTable, sense, tight):
     if sense == "max":
         gens = gens_b
     else:
-        gens = _admissible(gens_b, _mask(a_vec), tight)
+        gens = _admissible(gens_b, support(a_vec), tight)
         if not gens:
             return None
     _, result = _combination_lp(a_vec, gens, sense == "max", scaled=True)
@@ -412,11 +408,7 @@ def exact_factor(circuit: Circuit, a: VectorSet, sense: str) -> FactorResult:
 
 
 def _minterm_set_ok(a: VectorSet) -> bool:
-    if len(a) == 0 or not a.is_zero_one():
-        return False
-    if (0,) * a.n in a:
-        return False
-    return is_zero_one_antichain(a)
+    return len(a) > 0 and 0 not in a.supports() and is_zero_one_antichain(a)
 
 
 def boolean_versions_agree(b: VectorSet, a: VectorSet) -> bool:
@@ -509,14 +501,13 @@ def arithmetic_witness_check(circuit: Circuit, family: SetFamily, r: Fraction) -
     if not is_antichain(family):
         raise UsageError("the family must be an antichain")
     b = produced_set(circuit)
-    members = [frozenset(e - 1 for e in s) for s in family.members()]
 
     covers = all(
-        any(m <= support(v) for m in members) for v in b.sorted_vectors()
+        any(m & s == m for m in family.masks) for s in b.supports()
     )
     has_copies = all(
         any(support(v) == m and max(v) <= r for v in b.sorted_vectors())
-        for m in members
+        for m in family.masks
     )
     ok = covers and has_copies
     if ok:

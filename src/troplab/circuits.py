@@ -90,7 +90,8 @@ class VectorSet:
         return sorted(self.vectors)
 
     def supports(self):
-        return {frozenset(i for i, c in enumerate(v) if c) for v in self.vectors}
+        """The set of support bitmasks of the vectors (see support)."""
+        return {support(v) for v in self.vectors}
 
     def is_zero_one(self) -> bool:
         return all(c <= 1 for v in self.vectors for c in v)
@@ -118,8 +119,13 @@ class VectorSet:
         return f"VectorSet(n={self.n}, {self.sorted_vectors()})"
 
 
-def support(v) -> frozenset:
-    return frozenset(i for i, c in enumerate(v) if c)
+def support(v) -> int:
+    """supp(v) as a bitmask: bit i is set iff v[i] != 0.
+
+    Bit i stands for coordinate i, which is ground element i+1, so these
+    masks use the same encoding as SetFamily.masks.
+    """
+    return sum(1 << i for i, c in enumerate(v) if c)
 
 
 class Circuit:

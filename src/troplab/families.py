@@ -327,8 +327,8 @@ def similar(a: VectorSet, b: VectorSet) -> bool:
         raise UsageError("vector sets of different arity")
     sa = a.supports()
     sb = b.supports()
-    return all(any(t <= s for t in sa) for s in sb) and all(
-        any(t <= s for t in sb) for s in sa
+    return all(any(t & s == t for t in sa) for s in sb) and all(
+        any(t & s == t for t in sb) for s in sa
     )
 
 
@@ -388,10 +388,7 @@ def boolean_function_of(a: VectorSet) -> BooleanTable:
         raise GuardExceeded(
             f"truth tables limited to {guards.current().table_variables} variables")
     bits = 0
-    for sup in a.supports():
-        mask = 0
-        for i in sup:
-            mask |= 1 << i
+    for mask in a.supports():
         bits |= 1 << mask
     total = 1 << (1 << n)
     for i in range(n):

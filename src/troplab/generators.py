@@ -144,11 +144,8 @@ def graham_sloane_best(n: int, m: int):
 
 def uniform_complement(family: SetFamily, m: int) -> SetFamily:
     """C([n], m) minus the family; a matroid whenever the family is separated."""
-    removed = set(family.masks)
     sets = [
-        s
-        for s in combinations(range(1, family.n + 1), m)
-        if _mask(s) not in removed
+        s for s in combinations(range(1, family.n + 1), m) if s not in family
     ]
     return SetFamily(family.n, sets)
 
@@ -157,13 +154,6 @@ def graham_sloane_matroid(n: int, m: int) -> SetFamily:
     """Complement of the largest residue class: an explicit non-trivial matroid."""
     _, h = graham_sloane_best(n, m)
     return uniform_complement(h, m)
-
-
-def _mask(elements) -> int:
-    out = 0
-    for e in elements:
-        out |= 1 << (e - 1)
-    return out
 
 
 def edge_index(spec: HypergraphSpec, edge) -> int:

@@ -3,8 +3,8 @@
 All weights, factors and certificate multipliers in this package are
 `fractions.Fraction` values: stored in lowest terms with a positive
 denominator, totally ordered, exact.  This module adds the small pieces
-Fraction does not ship: the four-operation dispatcher used by the CLI,
-the ``p/q`` text form (``q`` omitted when 1), ceiling division for
+Fraction does not ship: a four-operation dispatcher that reports
+division by zero as a UsageError, the ``p/q`` text form (``q`` omitted when 1), ceiling division for
 rational parameters, and clearing a vector's denominators so that exact
 hot paths can run on ints.
 """
@@ -25,7 +25,7 @@ def rational_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
     """Apply one of ``+ - * /`` to two rationals, exactly.
 
     Division by zero is an explicit UsageError rather than a
-    ZeroDivisionError so the CLI can report it as a usage problem.
+    ZeroDivisionError, so that a caller can report it as a usage problem.
     """
     if op not in _OPS:
         raise UsageError(f"unknown rational operation {op!r}, expected one of {_OPS}")

@@ -214,24 +214,11 @@ class Rectangle:
     a_side: tuple  # masks
     b_side: tuple  # masks
 
-    @staticmethod
-    def from_supports(n: int, a_supports, b_supports) -> "Rectangle":
-        amask = tuple(sorted({_to_mask(s) for s in a_supports}))
-        bmask = tuple(sorted({_to_mask(s) for s in b_supports}))
-        return Rectangle(n, amask, bmask)
-
     def is_cross_disjoint(self) -> bool:
         return all(a & b == 0 for a in self.a_side for b in self.b_side)
 
     def union_masks(self):
         return {a | b for a in self.a_side for b in self.b_side}
-
-
-def _to_mask(sup) -> int:
-    mask = 0
-    for i in sup:
-        mask |= 1 << i
-    return mask
 
 
 def rectangle_below_family(rect: Rectangle, family: SetFamily) -> bool:
@@ -325,8 +312,10 @@ def audit_circuit_rectangles(
             continue
         if not (gs.produced.is_zero_one() and gs.residue.is_zero_one()):
             raise UsageError("rectangle extraction needs 0-1 sumsets")
-        rect = Rectangle.from_supports(
-            circuit.n, gs.produced.supports(), gs.residue.supports()
+        rect = Rectangle(
+            circuit.n,
+            tuple(sorted(gs.produced.supports())),
+            tuple(sorted(gs.residue.supports())),
         )
         audits.append(
             RectangleAudit(

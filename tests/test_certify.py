@@ -7,11 +7,12 @@ import pytest
 
 from conftest import simple_path_vectors
 from fm_oracle import fm_cross_check
-from troplab import certify
+from troplab import certify, guards
 from troplab.builders import bellman_ford_circuit, selection_circuit
 from troplab.certify import (
     Certificate,
     DominanceQuery,
+    GeneratorTable,
     arithmetic_witness_check,
     boolean_bound_check,
     boolean_versions_agree,
@@ -39,7 +40,7 @@ from troplab.circuits import (
     strip_constants,
 )
 from troplab.errors import UsageError
-from troplab.families import SetFamily
+from troplab.families import SetFamily, boolean_function_of, similar
 from troplab.tools import random_tropical_circuit
 
 H = Fraction(1, 2)
@@ -67,6 +68,18 @@ def test_lp_feasible_member_indicator():
 def test_empty_tight_filter_is_a_verdict():
     cert = lp_feasible(DominanceQuery((1, 1), ((1, 0),), "above", tight=True))
     assert not cert.feasible and "support" in cert.note
+
+
+@pytest.mark.parametrize("target, gens, direction, message", [
+    ((1, 0), ((1, 0), (1, 0, 0)), "below", "generator arity mismatch"),
+    ((1, 0, 0), ((1, 0),), "above", "generator arity mismatch"),
+    ((1, 0, 0), GeneratorTable([(1, 0)]), "below", "generator arity mismatch"),
+    ((1, 0), (), "below", "empty generator set"),
+    ((1, 0), ((1, 0),), "sideways", "direction must be below/above"),
+])
+def test_dominance_query_rejects_bad_input(target, gens, direction, message):
+    with pytest.raises(UsageError, match=message):
+        DominanceQuery(target, gens, direction)
 
 
 def test_witnesses_reverify():
@@ -325,6 +338,49 @@ def test_boolean_bound_negative_control():
     a = simple_path_vectors(4, 1, 2)
     corrupted = VectorSet(a.n, list(a.sorted_vectors())[1:])
     assert not boolean_versions_agree(corrupted, a)
+
+
+def _vector_set_pair(rng, n):
+    """Two random vector sets; about half the time with equal boolean functions."""
+    def draw():
+        return tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(n))
+
+    a = [draw() for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.5:
+        b = [draw() for _ in range(rng.randint(1, 5))]
+    else:
+        # rescaled copies of a plus vectors above a's supports
+        b = [tuple(c and rng.randint(1, 3) for c in v) for v in a]
+        b += [tuple(c or draw()[0] for c in rng.choice(a))
+              for _ in range(rng.randint(0, 3))]
+    return VectorSet(n, a), VectorSet(n, b)
+
+
+def _frozenset_similar(a, b):
+    sa = {frozenset(i for i, c in enumerate(v) if c) for v in a.vectors}
+    sb = {frozenset(i for i, c in enumerate(v) if c) for v in b.vectors}
+    return all(any(t <= s for t in sa) for s in sb) and all(
+        any(t <= s for t in sb) for s in sa
+    )
+
+
+def test_similarity_path_matches_truth_tables_and_frozenset_reference():
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(150):
+        a, b = _vector_set_pair(rng, rng.randint(4, 8))
+        by_table = boolean_function_of(b) == boolean_function_of(a)
+        with guards.limits(table_variables=3):  # forces the similarity path
+            assert boolean_versions_agree(b, a) == by_table
+        outcomes.add(by_table)
+    assert outcomes == {True, False}
+    outcomes = set()
+    for _ in range(150):
+        a, b = _vector_set_pair(rng, rng.randint(21, 30))
+        expected = _frozenset_similar(a, b)
+        assert similar(a, b) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_arithmetic_witness_check():

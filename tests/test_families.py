@@ -146,9 +146,10 @@ def test_boolean_function_duality():
         ]
         vs = VectorSet(n, vecs)
         table = boolean_function_of(vs)
-        sups = vs.supports()
         for mask in range(1 << n):
-            direct = any(all(mask >> i & 1 for i in s) for s in sups)
+            direct = any(
+                all(mask >> i & 1 for i, c in enumerate(v) if c) for v in vs.vectors
+            )
             assert table.value(mask) == int(direct)
         assert table.is_monotone()
 

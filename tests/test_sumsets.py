@@ -131,14 +131,14 @@ def test_decompose_at_output_is_whole_vector():
 
 
 def test_balanced_in_rectangle_split_member():
-    rect = Rectangle.from_supports(4, [{0, 1}], [{2, 3}])
+    rect = Rectangle(4, (0b0011,), (0b1100,))
     f_mask = 0b1111
     assert balanced_in_rectangle(f_mask, rect, F(1), F(2, 3))
 
 
 def test_balanced_strictness_boundary():
     # |F n A| must be strictly above beta|F|/(2r): equality fails
-    rect = Rectangle.from_supports(4, [{0}], [{1, 2, 3}])
+    rect = Rectangle(4, (0b0001,), (0b1110,))
     f_mask = 0b1111
     r, beta = F(1), F(1, 2)
     # |F n A| = 1 == beta*|F|/(2r) = 1 -> strict inequality fails
@@ -147,10 +147,10 @@ def test_balanced_strictness_boundary():
     assert balanced_in_rectangle(f_mask, rect, r, F(1, 3))
     # the union and B-side thresholds are not strict: equality passes
     # |F n (A u B)| = 2 == |F|/r = 2 (|F n A| = 1 > 3/4, |F n B| = 1 > 1/2)
-    union_tight = Rectangle.from_supports(4, [{0}], [{1}])
+    union_tight = Rectangle(4, (0b0001,), (0b0010,))
     assert balanced_in_rectangle(f_mask, union_tight, F(2), F(3, 4))
     # |F n B| = 1 == ((1-beta)/r)|F| = 1 (|F n A| = 2 > 1/2, |F n (A u B)| = 3 > 2)
-    b_tight = Rectangle.from_supports(4, [{0, 1}], [{2}])
+    b_tight = Rectangle(4, (0b0011,), (0b0100,))
     assert balanced_in_rectangle(f_mask, b_tight, F(2), F(1, 2))
 
 
@@ -161,9 +161,9 @@ def test_balanced_empty_rectangle():
 
 def test_rectangle_below_family_negative_control():
     fam = SetFamily(4, [(1, 2), (3, 4)])
-    good = Rectangle.from_supports(4, [{0}], [{1}])
+    good = Rectangle(4, (0b0001,), (0b0010,))
     assert rectangle_below_family(good, fam)
-    corrupt = Rectangle.from_supports(4, [{0}], [{2}])  # {1,3} fits no member
+    corrupt = Rectangle(4, (0b0001,), (0b0100,))  # {1,3} fits no member
     assert not rectangle_below_family(corrupt, fam)
     assert corrupt.is_cross_disjoint()
 
