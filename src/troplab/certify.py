@@ -21,7 +21,9 @@ and tight queries; a single-generator dominance fast path, comparing
 ints once the target's denominators are cleared, answers before the
 exact simplex runs.  Every returned witness is re-verified
 by direct arithmetic; the test suite additionally replays small
-verdicts through an independent Fourier-Motzkin oracle.
+verdicts through an independent Fourier-Motzkin oracle.  Each query
+clears its target's denominators and computes its support once, and
+the re-verification reuses both.
 
 Each call of _certify, exact_factor and semantic_degree sorts, dedups
 and arity-checks its generator sets once, into GeneratorTables that
@@ -35,11 +37,14 @@ core (strip_constants is applied up front): eliminating constants
 preserves any approximation factor the original circuit achieves, so
 the core is the right object to certify, and a circuit whose constants
 shift its values never approximates a problem whose feasible set
-excludes the all-zero solution in the first place.
+excludes the all-zero solution in the first place.  A constant-free
+circuit is its own core, so the produced set cached on it serves
+exact_factor, certify_min and boolean_bound_check alike.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -141,11 +146,16 @@ def verify_certificate(cert: Certificate, query: DominanceQuery) -> bool:
     that their combination dominates or is dominated by the target.
     Denominators are cleared once, so every comparison is between ints.
     """
+    nums, den = clear_denominators(query.target)
+    return _verified(cert, query, nums, den, support(nums))
+
+
+def _verified(cert, query, u_nums, u_den, umask):
+    """verify_certificate on a target already cleared to u_nums / u_den."""
     if not cert.feasible:
         return True
     if cert.coefficients is None:
         return False
-    umask = support(query.target)
     masks = query.generators.masks
     for vec, _ in cert.coefficients:
         if vec not in masks or (query.tight and masks[vec] != umask):
@@ -154,14 +164,11 @@ def verify_certificate(cert: Certificate, query: DominanceQuery) -> bool:
     if any(lam < 0 for lam in lams) or sum(lams) != lam_den:
         return False
     # u_i <= sum(lam * g_i) iff u_num_i * lam_den <= u_den * sum(lam_num * g_i)
-    u_nums, u_den = clear_denominators(query.target)
-    below = query.direction == "below"
-    vecs = [vec for vec, _ in cert.coefficients]
-    for i, u in enumerate(u_nums):
-        comb = u_den * sum(lam * vec[i] for vec, lam in zip(vecs, lams))
-        if u * lam_den > comb if below else u * lam_den < comb:
-            return False
-    return True
+    comb = map(sum, zip(*(
+        [lam * g for g in vec] for (vec, _), lam in zip(cert.coefficients, lams))))
+    if query.direction == "below":
+        return all(u * lam_den <= u_den * c for u, c in zip(u_nums, comb))
+    return all(u * lam_den >= u_den * c for u, c in zip(u_nums, comb))
 
 
 def _admissible(table, umask, tight):
@@ -210,10 +217,11 @@ def _combination_lp(target, gens, below, scaled):
 def lp_feasible(query: DominanceQuery) -> Certificate:
     """Decide a dominance query exactly; witnesses are re-verified."""
     nums, den = clear_denominators(query.target)
+    umask = support(nums)
     below = query.direction == "below"
     gens = query.generators
     if query.tight or not below:
-        gens = _admissible(gens, support(nums), query.tight)
+        gens = _admissible(gens, umask, query.tight)
         if not gens:
             note = ("empty support filter" if query.tight
                     else "no generators inside the target support")
@@ -237,7 +245,7 @@ def lp_feasible(query: DominanceQuery) -> Certificate:
             cert = Certificate(True, query.target, query.direction, coeffs)
         else:
             cert = Certificate(False, query.target, query.direction)
-    if not verify_certificate(cert, query):
+    if not _verified(cert, query, nums, den, umask):
         raise InternalCheck("certificate failed re-verification")
     return cert
 
@@ -280,9 +288,11 @@ def _core_produced(circuit: Circuit, expected: str) -> VectorSet:
 def is_zero_one_antichain(a: VectorSet) -> bool:
     if not a.is_zero_one():
         return False
-    sups = list(a.supports())
+    # distinct supports can nest only when the inner one has fewer bits
+    sups = sorted(a.supports(), key=int.bit_count)
+    counts = [s.bit_count() for s in sups]
     return not any(
-        s != t and s & t == s for s in sups for t in sups
+        s & t == s for s, k in zip(sups, counts) for t in sups[bisect_right(counts, k):]
     )
 
 

@@ -15,6 +15,16 @@ formal degree of every node, so no digit ever carries.  A union gate
 is then a set union and a sum gate a set of int additions; vectors are
 unpacked into tuples only when a produced set is returned.
 
+produced_set caches the output's set on the circuit, next to the final
+set size of every Add/Mul gate in node order.  A cache hit runs the
+guard again on those sizes, so a later, lower produced_vectors limit
+raises at the same gate with the same message as a fresh computation:
+a gate's set only grows while it is built, so the first gate whose
+final size is over the cap is the gate that raises.  A computation
+that raises caches nothing.  Two threads may fill the cache of one
+circuit at the same time; as with the cached evaluation program, both
+compute the same value on an immutable circuit, so the race is benign.
+
 Size conventions follow the usual one for monotone circuits: the size
 of a circuit is its number of Add/Mul gates; input nodes are free.
 """
@@ -132,7 +142,7 @@ class Circuit:
     """Immutable circuit; construction is permissive, operations validate."""
 
     __slots__ = ("semiring", "n", "nodes", "output", "_by_id", "_violations",
-                 "_program")
+                 "_program", "_produced")
 
     def __init__(self, semiring: str, n: int, nodes, output: str):
         self.semiring = semiring
@@ -142,6 +152,7 @@ class Circuit:
         self._by_id = dict(self.nodes)
         self._violations = None
         self._program = None
+        self._produced = None
 
     def node(self, nid: str):
         return self._by_id[nid]
@@ -312,8 +323,8 @@ def evaluate(c: Circuit, x):
 # Produced sets
 
 
-def _check_cap(vectors, cap, gate):
-    if len(vectors) > cap:
+def _check_cap(size, cap, gate):
+    if size > cap:
         raise GuardExceeded(f"produced set exceeds {cap} vectors at gate {gate}")
 
 
@@ -337,7 +348,7 @@ def _packed_node_sets(c: Circuit):
             sets[nid] = {0}
         elif isinstance(node, Add):
             sets[nid] = sets[node.left] | sets[node.right]
-            _check_cap(sets[nid], cap, nid)
+            _check_cap(len(sets[nid]), cap, nid)
         else:
             left, right = sets[node.left], sets[node.right]
             if len(left) > len(right):
@@ -345,7 +356,7 @@ def _packed_node_sets(c: Circuit):
             out = sets[nid] = set()
             for u in left:
                 out.update(map(u.__add__, right))
-                _check_cap(out, cap, nid)
+                _check_cap(len(out), cap, nid)
     return width, sets
 
 
@@ -364,9 +375,24 @@ def produced_node_sets(c: Circuit):
 
 
 def produced_set(c: Circuit) -> VectorSet:
-    """Vectors produced at the output node (tag-independent)."""
-    width, sets = _packed_node_sets(c)
-    return VectorSet._of_checked(c.n, frozenset(_unpack(sets[c.output], c.n, width)))
+    """Vectors produced at the output node (tag-independent).
+
+    Cached on the circuit with every gate's final set size; a cache hit
+    checks those sizes against the limit in force (see the module
+    docstring).
+    """
+    cached = c._produced
+    if cached is None:
+        width, sets = _packed_node_sets(c)
+        out = VectorSet._of_checked(c.n, frozenset(_unpack(sets[c.output], c.n, width)))
+        sizes = tuple((nid, len(sets[nid])) for nid, node in c.nodes
+                      if isinstance(node, (Add, Mul)))
+        cached = c._produced = (out, sizes)
+    else:
+        cap = guards.current().produced_vectors
+        for nid, size in cached[1]:
+            _check_cap(size, cap, nid)
+    return cached[0]
 
 
 # ---------------------------------------------------------------------------

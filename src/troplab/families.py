@@ -327,8 +327,8 @@ def similar(a: VectorSet, b: VectorSet) -> bool:
         raise UsageError("vector sets of different arity")
     sa = a.supports()
     sb = b.supports()
-    return all(any(t & s == t for t in sa) for s in sb) and all(
-        any(t & s == t for t in sb) for s in sa
+    return all(s in sa or any(t & s == t for t in sa) for s in sb) and all(
+        s in sb or any(t & s == t for t in sb) for s in sa
     )
 
 

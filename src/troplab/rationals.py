@@ -3,10 +3,9 @@
 All weights, factors and certificate multipliers in this package are
 `fractions.Fraction` values: stored in lowest terms with a positive
 denominator, totally ordered, exact.  This module adds the small pieces
-Fraction does not ship: a four-operation dispatcher that reports
-division by zero as a UsageError, the ``p/q`` text form (``q`` omitted when 1), ceiling division for
-rational parameters, and clearing a vector's denominators so that exact
-hot paths can run on ints.
+Fraction does not ship: the ``p/q`` text form (``q`` omitted when 1),
+ceiling division for rational parameters, and clearing a vector's
+denominators so that exact hot paths can run on ints.
 """
 
 from __future__ import annotations
@@ -17,27 +16,6 @@ from math import lcm
 from .errors import UsageError
 
 Rational = Fraction
-
-_OPS = ("+", "-", "*", "/")
-
-
-def rational_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Apply one of ``+ - * /`` to two rationals, exactly.
-
-    Division by zero is an explicit UsageError rather than a
-    ZeroDivisionError, so that a caller can report it as a usage problem.
-    """
-    if op not in _OPS:
-        raise UsageError(f"unknown rational operation {op!r}, expected one of {_OPS}")
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if b == 0:
-        raise UsageError("division by zero")
-    return a / b
 
 
 def parse_rational(text: str) -> Fraction:
@@ -66,6 +44,8 @@ def clear_denominators(values) -> tuple[list[int], int]:
     Values are ints or Fractions; any other number goes through Fraction
     first.  Since d > 0, each n[i] has the sign of values[i].
     """
+    if all(type(v) is int for v in values):
+        return list(values), 1
     vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     den = lcm(*(v.denominator for v in vals))
     return [v.numerator * (den // v.denominator) for v in vals], den

@@ -125,6 +125,14 @@ def test_each_certificate_check_rejects_its_tamper(broken):
         assert verify_certificate(Certificate(True, q.target, "below", coeffs), loose)
 
 
+def test_above_certificate_checks_every_coordinate():
+    q = DominanceQuery((2, 2), ((1, 3), (3, 1), (1, 1)), "above")
+    mixed = (((1, 3), H), ((3, 1), H))  # combination (2, 2)
+    assert verify_certificate(Certificate(True, q.target, "above", mixed), q)
+    single = (((1, 3), Fraction(1)),)  # 2 >= 3 fails on the second coordinate
+    assert not verify_certificate(Certificate(True, q.target, "above", single), q)
+
+
 def test_fm_cross_check_counts_and_agrees():
     with fm_cross_check() as stats:
         before = stats["checked"]
@@ -307,6 +315,17 @@ def test_is_zero_one_antichain():
     assert is_zero_one_antichain(VectorSet(2, [(1, 0), (0, 1)]))
     assert not is_zero_one_antichain(VectorSet(2, [(1, 0), (1, 1)]))
     assert not is_zero_one_antichain(VectorSet(2, [(2, 0)]))
+    rng = random.Random(306)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        a = VectorSet(n, [[rng.randint(0, 1) for _ in range(n)]
+                          for _ in range(rng.randint(1, 8))])
+        sups = list(a.supports())
+        expected = not any(s != t and s & t == s for s in sups for t in sups)
+        assert is_zero_one_antichain(a) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------

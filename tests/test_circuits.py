@@ -168,6 +168,47 @@ def test_produced_set_guard_matches_tuple_reference():
     assert hits > 10
 
 
+def test_cached_produced_set_keeps_the_guard():
+    """Under a lower cap, a circuit whose set is cached raises exactly as a
+    fresh circuit and the tuple reference do, at the same gate."""
+    rng = random.Random(707)
+    hits = 0
+    for _ in range(40):
+        c, _ = random_tropical_circuit(rng, max_produced=200)
+        full = produced_set(c)  # fills the cache under the default limits
+        for cap in range(1, 9):
+            with guards.limits(produced_vectors=cap):
+                try:
+                    _reference_node_sets(c)
+                except GuardExceeded as want:
+                    hits += 1
+                    fresh = Circuit(c.semiring, c.n, c.nodes, c.output)
+                    for circuit in (fresh, c):
+                        with pytest.raises(GuardExceeded, match=f"^{re.escape(str(want))}$"):
+                            produced_set(circuit)
+                else:
+                    assert produced_set(c) is full
+    assert hits > 40
+
+
+def test_failed_produced_set_caches_nothing():
+    # (x1 + x2)^8 by squaring: 2, 3, 5 and 9 vectors at u, m0, m1 and m2
+    nodes = [("v1", Var(1)), ("v2", Var(2)), ("u", Add("v1", "v2"))]
+    for i, prev in enumerate(("u", "m0", "m1")):
+        nodes.append((f"m{i}", Mul(prev, prev)))
+    c = _c(MINKOWSKI, 2, nodes, "m2")
+    with guards.limits(produced_vectors=4), pytest.raises(GuardExceeded) as err:
+        produced_set(c)
+    assert str(err.value) == "produced set exceeds 4 vectors at gate m1"
+    assert c._produced is None
+    with guards.limits(produced_vectors=9):
+        assert produced_set(c) == VectorSet(2, _reference_node_sets(c)["m2"])
+    with guards.limits(produced_vectors=8), pytest.raises(GuardExceeded) as err:
+        produced_set(c)
+    assert str(err.value) == "produced set exceeds 8 vectors at gate m2"
+    assert len(produced_set(c)) == 9
+
+
 def test_packed_width_edge_cases():
     # (x1 + x2)^3: degree 3 = 2**2 - 1, so entries fill a whole 2-bit digit
     cube = _c(MINKOWSKI, 3, [("v1", Var(1)), ("v2", Var(2)), ("v3", Var(3)),

@@ -1,6 +1,7 @@
 """Resource limits: immutable, scoped to a with block, private to a thread."""
 
 import dataclasses
+import sys
 import threading
 
 import pytest
@@ -55,23 +56,33 @@ def _attempt(c):
         return str(exc)
 
 
-def test_two_threads_do_not_share_limits():
+def _share_one_circuit(first):
+    """Two threads attempt one Circuit, `first` to start; return both outcomes.
+
+    The capped thread stays inside its limits block until both are done,
+    so the other thread reads the limits while that block is open.
+    """
     c = _doubling_circuit(8)  # 257 vectors, 65 already at gate m5
     both_ready = threading.Barrier(2, timeout=10)
     both_done = threading.Barrier(2, timeout=10)
+    first_finished = threading.Event()
     outcome = {}
+
+    def take_turn(name, attempt):
+        both_ready.wait()
+        if name != first:
+            first_finished.wait(timeout=10)
+        outcome[name] = attempt()
+        if name == first:
+            first_finished.set()
+        both_done.wait()
 
     def capped():
         with guards.limits(produced_vectors=50):
-            both_ready.wait()
-            outcome["capped"] = _attempt(c)
-            both_done.wait()
+            take_turn("capped", lambda: _attempt(c))
 
     def default():
-        both_ready.wait()  # the other thread is inside its limits block now
-        outcome["limits"] = guards.current()
-        outcome["default"] = _attempt(c)
-        both_done.wait()
+        take_turn("default", lambda: (guards.current(), _attempt(c)))
 
     threads = [threading.Thread(target=capped), threading.Thread(target=default)]
     for t in threads:
@@ -79,9 +90,47 @@ def test_two_threads_do_not_share_limits():
     for t in threads:
         t.join(timeout=30)
     assert not any(t.is_alive() for t in threads)
-    assert outcome == {
-        "capped": "produced set exceeds 50 vectors at gate m5",
-        "limits": guards.Limits(),
-        "default": 257,
-    }
+    return outcome
+
+
+def test_two_threads_do_not_share_limits():
+    # The default thread's cached set must not let the capped thread skip
+    # its guard, and the capped thread's failure must not cache anything.
+    for first in ("default", "capped"):
+        assert _share_one_circuit(first) == {
+            "capped": "produced set exceeds 50 vectors at gate m5",
+            "default": (guards.Limits(), 257),
+        }
     assert guards.current() == guards.Limits()
+
+
+def test_threads_filling_one_cache_keep_their_own_limits():
+    # more threads than cores, switching often, each filling or reading one
+    # circuit's cached set five times under its own cap
+    caps = (50, 100, 300, 10**6, 50, 300)
+    want = {50: "produced set exceeds 50 vectors at gate m5",
+            100: "produced set exceeds 100 vectors at gate m6",
+            300: 257, 10**6: 257}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            c = _doubling_circuit(8)
+            start = threading.Barrier(len(caps), timeout=10)
+            got = [None] * len(caps)
+
+            def attempt(i, cap):
+                with guards.limits(produced_vectors=cap):
+                    start.wait()
+                    got[i] = {_attempt(c) for _ in range(5)}
+
+            threads = [threading.Thread(target=attempt, args=item)
+                       for item in enumerate(caps)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [{want[cap]} for cap in caps]
+    finally:
+        sys.setswitchinterval(interval)

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -19,11 +19,32 @@ from troplab.gf import (
 )
 from troplab.rationals import (
     ceil_rational,
+    clear_denominators,
     floor_rational,
     format_rational,
     parse_rational,
-    rational_arith,
 )
+
+_OPS = ("+", "-", "*", "/")
+
+
+def rational_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
+    """Apply one of ``+ - * /`` to two rationals, exactly.
+
+    Division by zero is an explicit UsageError rather than a
+    ZeroDivisionError, so that a caller can report it as a usage problem.
+    """
+    if op not in _OPS:
+        raise UsageError(f"unknown rational operation {op!r}, expected one of {_OPS}")
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if b == 0:
+        raise UsageError("division by zero")
+    return a / b
 
 
 def test_basic_fraction_arithmetic():
@@ -31,6 +52,23 @@ def test_basic_fraction_arithmetic():
     assert Fraction(2, 4) == Fraction(1, 2)
     eps = Fraction(1, 10)
     assert rational_arith(Fraction(1), 1 - eps / 2, "/") == Fraction(20, 19)
+
+
+def test_clear_denominators():
+    ints = [3, 0, 7]
+    got = clear_denominators(ints)
+    assert got == ([3, 0, 7], 1) and got[0] is not ints
+    assert clear_denominators((True, 2)) == ([1, 2], 1)
+    assert clear_denominators([]) == ([], 1)
+    assert clear_denominators([Fraction(1, 2), 3, Fraction(-2, 3)]) == ([3, 18, -4], 6)
+    rng = random.Random(63)
+    for _ in range(500):
+        vals = [rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+                for _ in range(rng.randint(1, 5))]
+        nums, den = clear_denominators(vals)
+        assert all(type(x) is int for x in nums)
+        assert [Fraction(x, den) for x in nums] == vals
+        assert den == lcm(*(Fraction(v).denominator for v in vals))
 
 
 def test_division_by_zero_is_explicit():
