@@ -19,7 +19,12 @@ convex multipliers over the distinct projections of the admissible
 generators onto supp(u).  Support filtering is mandatory for "above"
 and tight queries; a single-generator dominance fast path, comparing
 ints once the target's denominators are cleared, answers before the
-exact simplex runs.  Every returned witness is re-verified
+exact simplex runs.  A "below" query first narrows that path by
+bitmask: u_num <= den * v at a coordinate where u_num > 0 forces
+v != 0 there, whatever the signs of u and v, so only generators whose
+support covers the target's positive support are compared entry by
+entry, and the first one that dominates is the one a full scan would
+find.  Every returned witness is re-verified
 by direct arithmetic; the test suite additionally replays small
 verdicts through an independent Fourier-Motzkin oracle.  Each query
 clears its target's denominators and computes its support once, and
@@ -47,6 +52,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .circuits import (
     ARITHMETIC,
@@ -69,6 +75,8 @@ from .simplex import OPTIMAL, solve_lp
 
 class GeneratorTable(tuple):
     """Sorted distinct generators of one arity `n`, with supports in `masks`.
+
+    `masks` maps each generator to its support bitmask, in table order.
 
     A certify call builds one table per generator set and passes it as
     DominanceQuery.generators to every query, so sorting, dedup, the
@@ -194,17 +202,19 @@ def _combination_lp(target, gens, below, scaled):
     Returns the column representatives and the LP result.
     """
     coords = [i for i, c in enumerate(target) if c]
-    reps = {}
-    for v in gens:
-        reps.setdefault(tuple(v[i] for i in coords), v)
+    # itemgetter() raises and itemgetter(i) returns a scalar, not a tuple
+    project = (itemgetter(*coords) if len(coords) > 1
+               else lambda v: tuple(v[i] for i in coords))
+    # built from the reversed generators, so each key keeps its first one
+    backwards = gens[::-1]
+    reps = dict(zip(map(project, backwards), backwards))
     keys = sorted(reps)
     rel = ">=" if below else "<="
     constraints = []
-    for ci, coord in enumerate(coords):
-        row = [key[ci] for key in keys]
+    for row, coord in zip(zip(*keys), coords):
         ai = target[coord]
         if scaled:
-            constraints.append((row + [-ai], rel, 0))
+            constraints.append((row + (-ai,), rel, 0))
         else:
             constraints.append((row, rel, ai))
     extra = [0] if scaled else []
@@ -226,10 +236,17 @@ def lp_feasible(query: DominanceQuery) -> Certificate:
             note = ("empty support filter" if query.tight
                     else "no generators inside the target support")
             return Certificate(False, query.target, query.direction, note=note)
+        candidates = gens
+    else:
+        # u_num <= den * v makes v nonzero wherever u_num > 0, whatever
+        # the signs, so only generators covering that mask can dominate;
+        # masks is in table order, so the first hit is unchanged.
+        pos = support([x > 0 for x in nums])
+        candidates = [v for v, m in gens.masks.items() if m & pos == pos]
 
     # Pointwise fast path on ints: u <= v iff u_num <= den * v.
     cert = None
-    for v in gens:
+    for v in candidates:
         if all(x <= den * y for x, y in zip(nums, v)) if below else all(
             x >= den * y for x, y in zip(nums, v)
         ):

@@ -15,8 +15,6 @@ from math import lcm
 
 from .errors import UsageError
 
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` into a Fraction."""
@@ -46,6 +44,8 @@ def clear_denominators(values) -> tuple[list[int], int]:
     """
     if all(type(v) is int for v in values):
         return list(values), 1
+    if all(type(v) is Fraction and v.denominator == 1 for v in values):
+        return [v.numerator for v in values], 1
     vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     den = lcm(*(v.denominator for v in vals))
     return [v.numerator * (den // v.denominator) for v in vals], den

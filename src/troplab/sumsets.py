@@ -236,16 +236,26 @@ def balanced_in_rectangle(
 
     Needs one pair (A, B) with |F n (A u B)| >= |F|/r,
     |F n A| > (beta/2r)|F| (strict) and |F n B| >= ((1-beta)/r)|F|.
+    The counts are ints, so the three bounds are rounded to ints once
+    (floor for the strict one, ceiling for the others) and every pair
+    is tested with int comparisons only.
     """
-    r = Fraction(r)
-    beta = Fraction(beta)
-    size = f_mask.bit_count()
-    a_min = beta * size / (2 * r)
-    union_min = size / r
-    b_min = (1 - beta) * size / r
+    thresholds = _balance_thresholds(f_mask.bit_count(), Fraction(r), Fraction(beta))
+    return _balanced(f_mask, rect, *thresholds)
+
+
+def _balance_thresholds(size, r, beta):
+    """Ints a, u, b: balanced iff |F n A| > a, |F n (A u B)| >= u, |F n B| >= b."""
+    return (
+        floor_rational(beta * size / (2 * r)),
+        ceil_rational(size / r),
+        ceil_rational((1 - beta) * size / r),
+    )
+
+
+def _balanced(f_mask, rect, a_min, union_min, b_min):
     for amask in rect.a_side:
-        ca = (f_mask & amask).bit_count()
-        if not ca > a_min:
+        if not (f_mask & amask).bit_count() > a_min:
             continue
         for bmask in rect.b_side:
             cb = (f_mask & bmask).bit_count()
@@ -327,12 +337,13 @@ def audit_circuit_rectangles(
             )
         )
 
-    threshold = r / beta
+    threshold = ceil_rational(r / beta)
     uncovered = []
     for mask in family.masks:
+        thresholds = _balance_thresholds(mask.bit_count(), r, beta)
         hits = 0
         for audit in audits:
-            if balanced_in_rectangle(mask, audit.rectangle, r, beta):
+            if _balanced(mask, audit.rectangle, *thresholds):
                 audit.balanced_count += 1
                 hits += 1
         if hits == 0 and mask.bit_count() >= threshold:

@@ -41,6 +41,7 @@ from troplab.circuits import (
 )
 from troplab.errors import UsageError
 from troplab.families import SetFamily, boolean_function_of, similar
+from troplab.simplex import solve_lp
 from troplab.tools import random_tropical_circuit
 
 H = Fraction(1, 2)
@@ -131,6 +132,107 @@ def test_above_certificate_checks_every_coordinate():
     assert verify_certificate(Certificate(True, q.target, "above", mixed), q)
     single = (((1, 3), Fraction(1)),)  # 2 >= 3 fails on the second coordinate
     assert not verify_certificate(Certificate(True, q.target, "above", single), q)
+
+
+def _first_pointwise_hit(target, gens, direction, tight):
+    """The fast path's answer by brute force: the first admissible
+    generator, in sorted order, that dominates the target entry by entry
+    as Fractions; None when there is none."""
+    def supp(v):
+        return frozenset(i for i, c in enumerate(v) if c)
+
+    for v in sorted(set(gens)):
+        if tight and supp(v) != supp(target):
+            continue
+        if direction == "above" and not supp(v) <= supp(target):
+            continue
+        pairs = [(Fraction(u), Fraction(g)) for u, g in zip(target, v)]
+        if all(u <= g if direction == "below" else u >= g for u, g in pairs):
+            return v
+    return None
+
+
+def _random_entry(rng, negative, fractional):
+    x = rng.randint(-3 if negative else 0, 4)
+    return Fraction(x, rng.randint(1, 4)) if fractional and rng.random() < 0.5 else x
+
+
+def test_pointwise_fast_path_matches_first_hit_scan():
+    rng = random.Random(4242)
+    hits = misses = 0
+    shapes = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        negative, fractional = rng.random() < 0.4, rng.random() < 0.5
+        gens = [tuple(_random_entry(rng, negative, fractional) for _ in range(n))
+                for _ in range(rng.randint(1, 8))]
+        shape = rng.choice(("zero", "one", "many", "many"))
+        target = tuple(
+            _random_entry(rng, negative, fractional)
+            if shape == "many" or (shape == "one" and i == 0) else 0
+            for i in range(n)
+        )
+        shapes.add((shape, negative, fractional))
+        for direction in ("below", "above"):
+            for tight in (False, True):
+                query_gens = gens
+                if direction == "below" and not tight and negative:
+                    # a loose "below" LP reads only supp(target), so it needs
+                    # nonnegative generators elsewhere; a top generator (sorted
+                    # last) keeps the query on the fast path
+                    query_gens = gens + [(5,) * n]
+                hit = _first_pointwise_hit(target, query_gens, direction, tight)
+                cert = lp_feasible(DominanceQuery(target, query_gens, direction, tight))
+                if hit is None:
+                    misses += 1
+                    assert cert.note != "pointwise"
+                else:
+                    hits += 1
+                    assert cert == Certificate(True, target, direction,
+                                               ((hit, Fraction(1)),), note="pointwise")
+    assert hits > 300 and misses > 300
+    assert len(shapes) == 3 * 2 * 2
+
+
+def _reference_combination_lp(target, gens, below, scaled):
+    """_combination_lp with per-coordinate tuple projections and rows."""
+    coords = [i for i, c in enumerate(target) if c]
+    reps = {}
+    for v in gens:
+        reps.setdefault(tuple(v[i] for i in coords), v)
+    keys = sorted(reps)
+    rel = ">=" if below else "<="
+    constraints = []
+    for ci, coord in enumerate(coords):
+        row = [key[ci] for key in keys]
+        if scaled:
+            constraints.append((row + [-target[coord]], rel, 0))
+        else:
+            constraints.append((row, rel, target[coord]))
+    constraints.append(([1] * len(keys) + ([0] if scaled else []), "==", 1))
+    objective = [0] * len(keys) + ([1] if scaled else [])
+    return [reps[key] for key in keys], solve_lp(objective, constraints,
+                                                 maximize=scaled and below)
+
+
+def test_combination_lp_columns_match_tuple_projection():
+    rng = random.Random(77)
+    for k in range(120):
+        n = rng.randint(1, 6)
+        table = GeneratorTable(
+            tuple(_random_entry(rng, False, k % 2) for _ in range(n))
+            for _ in range(rng.randint(1, 10)))
+        width = (0, 1, n)[k % 3]
+        coords = set(rng.sample(range(n), width))
+        target = tuple(_random_entry(rng, False, True) or 1 if i in coords else 0
+                       for i in range(n))
+        shuffled = list(table)
+        rng.shuffle(shuffled)  # the first generator of each projection is kept
+        for gens in (table, shuffled):
+            for below in (True, False):
+                for scaled in (False, True):
+                    assert certify._combination_lp(target, gens, below, scaled) == \
+                        _reference_combination_lp(target, gens, below, scaled)
 
 
 def test_fm_cross_check_counts_and_agrees():

@@ -61,6 +61,9 @@ def test_clear_denominators():
     assert clear_denominators((True, 2)) == ([1, 2], 1)
     assert clear_denominators([]) == ([], 1)
     assert clear_denominators([Fraction(1, 2), 3, Fraction(-2, 3)]) == ([3, 18, -4], 6)
+    for whole in ([Fraction(1)], [Fraction(4), Fraction(-2), Fraction(0)], [Fraction(2), 3]):
+        nums, den = clear_denominators(whole)
+        assert (nums, den) == (whole, 1) and all(type(x) is int for x in nums)
     rng = random.Random(63)
     for _ in range(500):
         vals = [rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))))

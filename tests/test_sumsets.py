@@ -1,5 +1,6 @@
 """Residues, decompositions, rectangle audits, bound calculators."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,56 @@ def test_balanced_strictness_boundary():
     # |F n B| = 1 == ((1-beta)/r)|F| = 1 (|F n A| = 2 > 1/2, |F n (A u B)| = 3 > 2)
     b_tight = Rectangle(4, (0b0011,), (0b0100,))
     assert balanced_in_rectangle(f_mask, b_tight, F(2), F(1, 2))
+
+
+def _reference_balanced(f_mask, rect, r, beta):
+    """balanced_in_rectangle with Fraction thresholds, tested per pair."""
+    size = bin(f_mask).count("1")
+    return any(
+        bin(f_mask & a).count("1") > beta * size / (2 * r)
+        and bin(f_mask & (a | b)).count("1") >= size / r
+        and bin(f_mask & b).count("1") >= (1 - beta) * size / r
+        for a in rect.a_side for b in rect.b_side
+    )
+
+
+def test_balanced_int_thresholds_match_fraction_reference():
+    rng = random.Random(3131)
+    ratios = [F(1), F(4, 3), F(3, 2), F(2), F(5, 2), F(3), F(8, 3)]
+    betas = [F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(5, 6)]
+    integral = {"a": 0, "union": 0}
+    answers = set()
+    for _ in range(3000):
+        n = rng.randint(1, 10)
+        f_mask = rng.getrandbits(n)
+        rect = Rectangle(n, tuple(rng.getrandbits(n) for _ in range(rng.randint(0, 4))),
+                         tuple(rng.getrandbits(n) for _ in range(rng.randint(0, 4))))
+        r, beta = rng.choice(ratios), rng.choice(betas)
+        size = f_mask.bit_count()
+        integral["a"] += (beta * size / (2 * r)).denominator == 1
+        integral["union"] += (size / r).denominator == 1
+        expected = _reference_balanced(f_mask, rect, r, beta)
+        assert balanced_in_rectangle(f_mask, rect, r, beta) == expected
+        answers.add(expected)
+    assert answers == {True, False}
+    assert min(integral.values()) > 300
+
+
+@pytest.mark.parametrize("beta, counts", [
+    (F(2, 3), {"s2": 13, "s4": 21, "s5": 30, "s8": 26, "s9": 44, "s13": 26,
+               "s14": 52, "s18": 21, "s19": 47, "s22": 13, "s23": 30}),
+    (F(1, 2), {**{f"x{i}": 30 for i in range(1, 9)},
+               "s1": 47, "s3": 52, "s7": 44, "s12": 30, "s17": 13}),
+])
+def test_audit_selection_8_3_balanced_counts(beta, counts):
+    rep = audit_circuit_rectangles(
+        selection_circuit(8, 3), graham_sloane_matroid(8, 4), F(4, 3), beta)
+    assert len(rep.rectangles) == 35
+    assert {a.node_id: a.balanced_count for a in rep.rectangles
+            if a.balanced_count} == counts
+    assert rep.h_max == 52
+    assert rep.uncovered == []
+    assert rep.implied_bound == F(15, 13)
 
 
 def test_balanced_empty_rectangle():
