@@ -20,22 +20,26 @@ generators onto supp(u).  Support filtering is mandatory for "above"
 and tight queries; a single-generator dominance fast path, comparing
 ints once the target's denominators are cleared, answers before the
 exact simplex runs.  A "below" query first narrows that path by
-bitmask: u_num <= den * v at a coordinate where u_num > 0 forces
-v != 0 there, whatever the signs of u and v, so only generators whose
-support covers the target's positive support are compared entry by
-entry, and the first one that dominates is the one a full scan would
-find.  Every returned witness is re-verified
-by direct arithmetic; the test suite additionally replays small
-verdicts through an independent Fourier-Motzkin oracle.  Each query
-clears its target's denominators and computes its support once, and
-the re-verification reuses both.
+bitmask: generators are nonnegative and den > 0, so u_num <= den * v
+at a coordinate where u_num > 0 forces v > 0 there, whatever the sign
+of u elsewhere; only generators whose support covers the target's
+positive support are compared entry by entry, and the first one that
+dominates is the one a full scan would find.  Every returned witness
+is re-verified by direct arithmetic; the test suite additionally
+replays small verdicts through an independent Fourier-Motzkin oracle.
+Each query clears its target's denominators and computes its support
+once, and the re-verification reuses both.
 
-Each call of _certify, exact_factor and semantic_degree sorts, dedups
-and arity-checks its generator sets once, into GeneratorTables that
-carry every generator's support bitmask (circuits.support); support
-filters and certificate checks compare those masks.  Each query still
-goes through the module-level lp_feasible binding, one call per query,
-so a wrapper installed on that binding sees every query.
+A generator set is a VectorSet: sorted, deduplicated, arity-checked
+nonnegative integer vectors that keep their support bitmasks
+(circuits.support) once computed.  _certify, exact_factor and
+semantic_degree pass the feasible set and the produced set themselves
+as DominanceQuery.generators, and the produced set is cached on its
+circuit, so sorting and supports are paid once per set, not once per
+call or query; support filters and certificate checks compare those
+masks.  Each query still goes through the module-level lp_feasible
+binding, one call per query, so a wrapper installed on that binding
+sees every query.
 
 Circuits with constant inputs are certified through their constant-free
 core (strip_constants is applied up front): eliminating constants
@@ -73,48 +77,32 @@ from .rationals import clear_denominators
 from .simplex import OPTIMAL, solve_lp
 
 
-class GeneratorTable(tuple):
-    """Sorted distinct generators of one arity `n`, with supports in `masks`.
-
-    `masks` maps each generator to its support bitmask, in table order.
-
-    A certify call builds one table per generator set and passes it as
-    DominanceQuery.generators to every query, so sorting, dedup, the
-    arity check and supports are computed once per call, not once per
-    query.
-    """
-
-    def __new__(cls, vectors):
-        table = super().__new__(cls, sorted(set(map(tuple, vectors))))
-        table.n = len(table[0]) if table else 0
-        if any(len(v) != table.n for v in table):
-            raise UsageError("generator arity mismatch")
-        table.masks = {v: support(v) for v in table}
-        return table
-
-
 @dataclass(frozen=True)
 class DominanceQuery:
     """Does u lie below/above some convex combination of the generators?
 
     direction "below" asks for u <= c, "above" for u >= c.  With
     tight=True only generators whose support equals supp(u) are used.
-    The generators are any vectors or a GeneratorTable of them; plain
-    vectors are turned into a table here.
+    The generators are a VectorSet, used as it is; plain vectors are
+    wrapped in one here, so they must be nonnegative integers.
     """
 
     target: tuple
-    generators: tuple
+    generators: VectorSet
     direction: str
     tight: bool = False
 
     def __post_init__(self):
         if self.direction not in ("below", "above"):
             raise UsageError(f"direction must be below/above, got {self.direction!r}")
-        if not self.generators:
+        gens = self.generators
+        if not gens:
             raise UsageError("empty generator set")
-        if not isinstance(self.generators, GeneratorTable):
-            object.__setattr__(self, "generators", GeneratorTable(self.generators))
+        if not isinstance(gens, VectorSet):
+            gens = [tuple(v) for v in gens]
+            if any(len(v) != len(gens[0]) for v in gens):
+                raise UsageError("generator arity mismatch")
+            object.__setattr__(self, "generators", VectorSet(len(gens[0]), gens))
         if len(self.target) != self.generators.n:
             raise UsageError("generator arity mismatch")
 
@@ -134,16 +122,6 @@ class Certificate:
     direction: str
     coefficients: tuple | None = None
     note: str = ""
-
-    def combination(self):
-        if self.coefficients is None:
-            return None
-        n = len(self.target)
-        acc = [Fraction(0)] * n
-        for vec, lam in self.coefficients:
-            for i, c in enumerate(vec):
-                acc[i] += lam * c
-        return tuple(acc)
 
 
 def verify_certificate(cert: Certificate, query: DominanceQuery) -> bool:
@@ -179,15 +157,15 @@ def _verified(cert, query, u_nums, u_den, umask):
     return all(u * lam_den >= u_den * c for u, c in zip(u_nums, comb))
 
 
-def _admissible(table, umask, tight):
+def _admissible(vs, umask, tight):
     """Generators that may enter a combination above (or tight to) supp(u).
 
     An "above" combination may not use a coordinate outside supp(u); a
     tight one must use exactly supp(u).  umask is supp(u) as a bitmask.
     """
     if tight:
-        return [v for v, m in table.masks.items() if m == umask]
-    return [v for v, m in table.masks.items() if m | umask == umask]
+        return [v for v, m in vs.masks.items() if m == umask]
+    return [v for v, m in vs.masks.items() if m | umask == umask]
 
 
 def _combination_lp(target, gens, below, scaled):
@@ -238,9 +216,9 @@ def lp_feasible(query: DominanceQuery) -> Certificate:
             return Certificate(False, query.target, query.direction, note=note)
         candidates = gens
     else:
-        # u_num <= den * v makes v nonzero wherever u_num > 0, whatever
-        # the signs, so only generators covering that mask can dominate;
-        # masks is in table order, so the first hit is unchanged.
+        # u_num <= den * v makes v nonzero wherever u_num > 0, so only
+        # generators covering that mask can dominate; masks is in sorted
+        # order, so the first hit is unchanged.
         pos = support([x > 0 for x in nums])
         candidates = [v for v, m in gens.masks.items() if m & pos == pos]
 
@@ -254,7 +232,7 @@ def lp_feasible(query: DominanceQuery) -> Certificate:
                                ((v, Fraction(1)),), note="pointwise")
             break
     if cert is None:
-        reps, result = _combination_lp(query.target, gens, below, scaled=False)
+        reps, result = _combination_lp(query.target, list(gens), below, scaled=False)
         if result.status == OPTIMAL:
             coeffs = tuple(
                 (rep, lam) for rep, lam in zip(reps, result.solution) if lam != 0
@@ -319,18 +297,16 @@ def _certify(circuit: Circuit, a: VectorSet, r: Fraction, sense: str) -> Certifi
         raise UsageError("approximation factors are >= 1")
     _require_problem_set(a)
     b = _core_produced(circuit, MAXPLUS if sense == "max" else MINPLUS)
-    gens_a = GeneratorTable(a.vectors)
-    gens_b = GeneratorTable(b.vectors)
     direction = "below" if sense == "max" else "above"
     scale = 1 / r if sense == "max" else r
     tight = sense == "min" and is_zero_one_antichain(a)
     produced_side = tuple(
-        (v, lp_feasible(DominanceQuery(v, gens_a, direction))) for v in gens_b
+        (v, lp_feasible(DominanceQuery(v, a, direction))) for v in b
     )
     feasible_side = tuple(
         (v, lp_feasible(DominanceQuery(
-            tuple(c * scale for c in v), gens_b, direction, tight=tight)))
-        for v in gens_a
+            tuple(c * scale for c in v), b, direction, tight=tight)))
+        for v in a
     )
     verdict = all(c.feasible for _, c in produced_side) and all(
         c.feasible for _, c in feasible_side
@@ -368,18 +344,18 @@ class FactorResult:
     witness: tuple | None = None  # vector attaining/blocking the factor
 
 
-def _vector_factor(a_vec, gens_b: GeneratorTable, sense, tight):
+def _vector_factor(a_vec, b: VectorSet, sense, tight):
     """Least factor for one feasible vector against the produced set.
 
-    sense "max": 1/t for the largest t with t*a below conv(gens_b).
+    sense "max": 1/t for the largest t with t*a below conv(b).
     sense "min": the least r with some admissible (tight or
     support-filtered) combination <= r*a.  None when no finite factor
     exists.
     """
     if sense == "max":
-        gens = gens_b
+        gens = b.sorted_vectors()
     else:
-        gens = _admissible(gens_b, support(a_vec), tight)
+        gens = _admissible(b, support(a_vec), tight)
         if not gens:
             return None
     _, result = _combination_lp(a_vec, gens, sense == "max", scaled=True)
@@ -402,25 +378,22 @@ def exact_factor(circuit: Circuit, a: VectorSet, sense: str) -> FactorResult:
         raise UsageError("sense must be 'min' or 'max'")
     _require_problem_set(a)
     b = _core_produced(circuit, MAXPLUS if sense == "max" else MINPLUS)
-    gens_a = GeneratorTable(a.vectors)
-    gens_b = GeneratorTable(b.vectors)
     direction = "below" if sense == "max" else "above"
     tight = sense == "min" and is_zero_one_antichain(a)
 
-    for v in gens_b:
+    for v, vm in b.masks.items():
         if tight:
             # on 0-1 antichains validity is pointwise domination: v >= a
             # iff supp(a) lies inside supp(v)
-            vm = gens_b.masks[v]
-            ok = any(am & vm == am for am in gens_a.masks.values())
+            ok = any(am & vm == am for am in a.masks.values())
         else:
-            ok = lp_feasible(DominanceQuery(v, gens_a, direction)).feasible
+            ok = lp_feasible(DominanceQuery(v, a, direction)).feasible
         if not ok:
             return FactorResult("invalid", witness=v)
     best = None
     witness = None
-    for av in gens_a:
-        factor = _vector_factor(av, gens_b, sense, tight)
+    for av in a:
+        factor = _vector_factor(av, b, sense, tight)
         if factor is None:
             return FactorResult("infinite", witness=av)
         if best is None or factor > best:
@@ -462,11 +435,10 @@ def semantic_degree(circuit: Circuit, a: VectorSet) -> Fraction:
     if not boolean_versions_agree(b, a):
         raise UsageError("circuit does not compute the boolean function of A")
     degree = Fraction(1)
-    produced = GeneratorTable(b.vectors)
-    for av in a.sorted_vectors():
-        if tuple(av) in b:
+    for av in a:
+        if av in b:
             continue  # that minterm is produced as-is: its contribution is 1
-        r = _vector_factor(av, produced, "min", tight=True)
+        r = _vector_factor(av, b, "min", tight=True)
         if r is None:
             raise InternalCheck("similarity guarantees a support-matching vector")
         degree = max(degree, r)
@@ -491,9 +463,8 @@ def bounded_copy_checks(a: VectorSet, b: VectorSet, r: Fraction) -> BoundedCopyR
     bounds = []
     violations = []
     sufficient = True
-    for av in a.sorted_vectors():
-        asupp = support(av)
-        copies = [max(v) for v in b.sorted_vectors() if support(v) == asupp]
+    for av, am in a.masks.items():
+        copies = [max(v) for v, vm in b.masks.items() if vm == am]
         best = min(copies) if copies else None
         heights.append((av, best))
         size = sum(av)
@@ -533,7 +504,7 @@ def arithmetic_witness_check(circuit: Circuit, family: SetFamily, r: Fraction) -
         any(m & s == m for m in family.masks) for s in b.supports()
     )
     has_copies = all(
-        any(support(v) == m and max(v) <= r for v in b.sorted_vectors())
+        any(vm == m and max(v) <= r for v, vm in b.masks.items())
         for m in family.masks
     )
     ok = covers and has_copies

@@ -24,6 +24,7 @@ final size is over the cap is the gate that raises.  A computation
 that raises caches nothing.  Two threads may fill the cache of one
 circuit at the same time; as with the cached evaluation program, both
 compute the same value on an immutable circuit, so the race is benign.
+The same holds for the support masks a VectorSet fills on first use.
 
 Size conventions follow the usual one for monotone circuits: the size
 of a circuit is its number of Add/Mul gates; input nodes are free.
@@ -74,19 +75,33 @@ class Mul:
 
 
 class VectorSet:
-    """Deduplicated finite set of equal-length nonnegative integer vectors."""
+    """Deduplicated finite set of equal-length nonnegative integer vectors.
 
-    __slots__ = ("n", "vectors")
+    `masks` maps each vector to its support bitmask (see support), in
+    sorted vector order.  It is filled on first use, and iteration,
+    sorted_vectors() and supports() read it, so a set is sorted and its
+    supports are computed once however often it is used.
+    """
+
+    __slots__ = ("n", "vectors", "_masks")
 
     def __init__(self, n: int, vectors):
-        vecs = frozenset(tuple(int(c) for c in v) for v in vectors)
-        for v in vecs:
-            if len(v) != n:
-                raise UsageError(f"vector {v} has arity {len(v)}, expected {n}")
-            if any(c < 0 for c in v):
-                raise UsageError(f"vector {v} has a negative entry")
+        vecs = set()
+        for v in map(tuple, vectors):
+            try:
+                ints = tuple(map(int, v))
+            except (TypeError, ValueError, OverflowError):  # None, nan, inf
+                ints = None
+            if ints != v:
+                raise UsageError(f"vector {v} has a non-integer entry")
+            if len(ints) != n:
+                raise UsageError(f"vector {ints} has arity {len(ints)}, expected {n}")
+            if any(c < 0 for c in ints):
+                raise UsageError(f"vector {ints} has a negative entry")
+            vecs.add(ints)
         self.n = n
-        self.vectors = vecs
+        self.vectors = frozenset(vecs)
+        self._masks = None
 
     @classmethod
     def _of_checked(cls, n: int, vectors: frozenset) -> "VectorSet":
@@ -94,20 +109,27 @@ class VectorSet:
         vs = object.__new__(cls)
         vs.n = n
         vs.vectors = vectors
+        vs._masks = None
         return vs
 
+    @property
+    def masks(self) -> dict:
+        if self._masks is None:
+            self._masks = {v: support(v) for v in sorted(self.vectors)}
+        return self._masks
+
     def sorted_vectors(self):
-        return sorted(self.vectors)
+        return list(self.masks)
 
     def supports(self):
         """The set of support bitmasks of the vectors (see support)."""
-        return {support(v) for v in self.vectors}
+        return set(self.masks.values())
 
     def is_zero_one(self) -> bool:
         return all(c <= 1 for v in self.vectors for c in v)
 
     def __iter__(self):
-        return iter(self.sorted_vectors())
+        return iter(self.masks)
 
     def __len__(self):
         return len(self.vectors)

@@ -12,7 +12,6 @@ from troplab.builders import bellman_ford_circuit, selection_circuit
 from troplab.certify import (
     Certificate,
     DominanceQuery,
-    GeneratorTable,
     arithmetic_witness_check,
     boolean_bound_check,
     boolean_versions_agree,
@@ -74,9 +73,12 @@ def test_empty_tight_filter_is_a_verdict():
 @pytest.mark.parametrize("target, gens, direction, message", [
     ((1, 0), ((1, 0), (1, 0, 0)), "below", "generator arity mismatch"),
     ((1, 0, 0), ((1, 0),), "above", "generator arity mismatch"),
-    ((1, 0, 0), GeneratorTable([(1, 0)]), "below", "generator arity mismatch"),
+    ((1, 0, 0), VectorSet(2, [(1, 0)]), "below", "generator arity mismatch"),
     ((1, 0), (), "below", "empty generator set"),
     ((1, 0), ((1, 0),), "sideways", "direction must be below/above"),
+    ((1, 0), VectorSet(2, []), "below", "empty generator set"),
+    ((1, 0), ((1, 0), (2, -1)), "below", "negative entry"),
+    ((1, 0), ((1, 0), (H, 1)), "above", "non-integer entry"),
 ])
 def test_dominance_query_rejects_bad_input(target, gens, direction, message):
     with pytest.raises(UsageError, match=message):
@@ -158,13 +160,15 @@ def _random_entry(rng, negative, fractional):
 
 
 def test_pointwise_fast_path_matches_first_hit_scan():
+    """Generators are nonnegative ints, the whole domain a query accepts;
+    targets may be negative or fractional."""
     rng = random.Random(4242)
     hits = misses = 0
     shapes = set()
     for _ in range(300):
         n = rng.randint(1, 6)
         negative, fractional = rng.random() < 0.4, rng.random() < 0.5
-        gens = [tuple(_random_entry(rng, negative, fractional) for _ in range(n))
+        gens = [tuple(rng.randint(0, 4) for _ in range(n))
                 for _ in range(rng.randint(1, 8))]
         shape = rng.choice(("zero", "one", "many", "many"))
         target = tuple(
@@ -175,14 +179,8 @@ def test_pointwise_fast_path_matches_first_hit_scan():
         shapes.add((shape, negative, fractional))
         for direction in ("below", "above"):
             for tight in (False, True):
-                query_gens = gens
-                if direction == "below" and not tight and negative:
-                    # a loose "below" LP reads only supp(target), so it needs
-                    # nonnegative generators elsewhere; a top generator (sorted
-                    # last) keeps the query on the fast path
-                    query_gens = gens + [(5,) * n]
-                hit = _first_pointwise_hit(target, query_gens, direction, tight)
-                cert = lp_feasible(DominanceQuery(target, query_gens, direction, tight))
+                hit = _first_pointwise_hit(target, gens, direction, tight)
+                cert = lp_feasible(DominanceQuery(target, gens, direction, tight))
                 if hit is None:
                     misses += 1
                     assert cert.note != "pointwise"
@@ -219,9 +217,9 @@ def test_combination_lp_columns_match_tuple_projection():
     rng = random.Random(77)
     for k in range(120):
         n = rng.randint(1, 6)
-        table = GeneratorTable(
+        table = sorted({
             tuple(_random_entry(rng, False, k % 2) for _ in range(n))
-            for _ in range(rng.randint(1, 10)))
+            for _ in range(rng.randint(1, 10))})
         width = (0, 1, n)[k % 3]
         coords = set(rng.sample(range(n), width))
         target = tuple(_random_entry(rng, False, True) or 1 if i in coords else 0
@@ -275,7 +273,7 @@ def pair_family():
 
 def test_certify_min_routes_each_query_through_lp_feasible(monkeypatch):
     """One call per produced vector and one per feasible vector, made
-    through the module binding, on the call's two generator tables."""
+    through the module binding, each on A or on the produced set itself."""
     c = bellman_ford_circuit(5, 1, 2, MINPLUS)
     a = simple_path_vectors(5, 1, 2)
     decide = certify.lp_feasible
@@ -289,7 +287,7 @@ def test_certify_min_routes_each_query_through_lp_feasible(monkeypatch):
     bundle = certify_min(c, a, 1)
     assert bundle.verdict
     assert len(queries) == len(produced_set(c)) + len(a)
-    assert len({id(q.generators) for q in queries}) == 2
+    assert {id(q.generators) for q in queries} == {id(a), id(produced_set(c))}
 
 
 def test_certify_max_selection_against_dense_pairs():

@@ -2,6 +2,8 @@
 
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -57,6 +59,63 @@ def test_validate_unknown_node():
 def test_validate_boolean_constant_range():
     bad = _c(BOOLEAN, 1, [("v1", Var(1)), ("k", Const(Fraction(3)))], "v1")
     assert any("constant outside {0,1}" in v for v in validate(bad))
+
+
+def test_vector_set_rejects_non_integer_entries():
+    for bad in ([(Fraction(3, 2), 0), (2.7, 1)], [(1, 0), (2.7, 1)],
+                [(float("nan"), 0)], [(float("inf"), 0)], [(None, 0)]):
+        with pytest.raises(UsageError, match="non-integer entry"):
+            VectorSet(2, bad)
+    vs = VectorSet(2, [(Fraction(2), 0), (2, 0), (0, Fraction(6, 2))])
+    assert vs.sorted_vectors() == [(0, 3), (2, 0)]
+    assert all(type(c) is int for v in vs for c in v)
+
+
+def test_vector_set_masks_are_sorted_and_ignored_by_equality(rng):
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        raw = {tuple(rng.randint(0, 2) for _ in range(n))
+               for _ in range(rng.randint(0, 12))}
+        want = sorted(raw)
+        want_masks = [sum(1 << i for i, c in enumerate(v) if c) for v in want]
+        cold = VectorSet(n, raw)
+        assert cold._masks is None
+        for vs in (VectorSet(n, list(raw)), VectorSet._of_checked(n, frozenset(raw))):
+            assert list(vs.masks) == want
+            assert list(vs.masks.values()) == want_masks
+            assert vs.sorted_vectors() == want and list(vs) == want
+            assert vs.supports() == set(want_masks)
+            vs.sorted_vectors().clear()  # a fresh list: the cache is untouched
+            assert list(vs) == want
+            assert vs == cold and hash(vs) == hash(cold)
+        assert cold._masks is None
+
+
+def test_threads_filling_one_vector_set_see_the_same_masks():
+    # more threads than cores, switching often, all filling the masks of
+    # one fresh set at once: each must read every vector in sorted order
+    want = sorted({(i % 5, i % 7, i % 3) for i in range(300)})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            vs = VectorSet(3, want)
+            start = threading.Barrier(6, timeout=10)
+            got = [None] * 6
+
+            def read(i):
+                start.wait()
+                got[i] = (vs.sorted_vectors(), list(vs), vs.supports())
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [(want, want, vs.supports())] * 6
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_evaluate_examples():
