@@ -19,7 +19,11 @@ convex multipliers over the distinct projections of the admissible
 generators onto supp(u).  Support filtering is mandatory for "above"
 and tight queries; a single-generator dominance fast path, comparing
 ints once the target's denominators are cleared, answers before the
-exact simplex runs.  A "below" query first narrows that path by
+exact simplex runs.  A tight filter is one lookup in the generator
+set's mask index (VectorSet.with_support).  An "above" query filters
+as it scans: the fast path takes the first admissible generator the
+target dominates, and the full admissible list is built only when no
+generator does.  A "below" query first narrows that path by
 bitmask: generators are nonnegative and den > 0, so u_num <= den * v
 at a coordinate where u_num > 0 forces v > 0 there, whatever the sign
 of u elsewhere; only generators whose support covers the target's
@@ -37,9 +41,10 @@ semantic_degree pass the feasible set and the produced set themselves
 as DominanceQuery.generators, and the produced set is cached on its
 circuit, so sorting and supports are paid once per set, not once per
 call or query; support filters and certificate checks compare those
-masks.  Each query still goes through the module-level lp_feasible
-binding, one call per query, so a wrapper installed on that binding
-sees every query.
+masks, and tight filters, bounded_copy_checks and
+arithmetic_witness_check look vectors up by mask.  Each query still
+goes through the module-level lp_feasible binding, one call per query,
+so a wrapper installed on that binding sees every query.
 
 Circuits with constant inputs are certified through their constant-free
 core (strip_constants is applied up front): eliminating constants
@@ -56,7 +61,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, ge, itemgetter, le
 
 from .circuits import (
     ARITHMETIC,
@@ -75,6 +80,8 @@ from .errors import InternalCheck, UsageError
 from .families import SetFamily, boolean_function_of, is_antichain, similar
 from .rationals import clear_denominators
 from .simplex import OPTIMAL, solve_lp
+
+_ONE = Fraction(1)  # the multiplier of a pointwise certificate
 
 
 @dataclass(frozen=True)
@@ -140,31 +147,37 @@ def _verified(cert, query, u_nums, u_den, umask):
     """verify_certificate on a target already cleared to u_nums / u_den."""
     if not cert.feasible:
         return True
-    if cert.coefficients is None:
+    coeffs = cert.coefficients
+    if coeffs is None:
         return False
     masks = query.generators.masks
-    for vec, _ in cert.coefficients:
+    for vec, _ in coeffs:
         if vec not in masks or (query.tight and masks[vec] != umask):
             return False
-    lams, lam_den = clear_denominators([lam for _, lam in cert.coefficients])
-    if any(lam < 0 for lam in lams) or sum(lams) != lam_den:
+    lams, lam_den = clear_denominators([lam for _, lam in coeffs])
+    if not lams or min(lams) < 0 or sum(lams) != lam_den:
         return False
     # u_i <= sum(lam * g_i) iff u_num_i * lam_den <= u_den * sum(lam_num * g_i)
-    comb = map(sum, zip(*(
-        [lam * g for g in vec] for (vec, _), lam in zip(cert.coefficients, lams))))
-    if query.direction == "below":
-        return all(u * lam_den <= u_den * c for u, c in zip(u_nums, comb))
-    return all(u * lam_den >= u_den * c for u, c in zip(u_nums, comb))
+    comb = None
+    for (vec, _), lam in zip(coeffs, lams):
+        term = vec if lam == 1 else list(map(lam.__mul__, vec))
+        comb = term if comb is None else list(map(add, comb, term))
+    if lam_den != 1:
+        u_nums = [u * lam_den for u in u_nums]
+    if u_den != 1:
+        comb = [u_den * c for c in comb]
+    return all(map(le if query.direction == "below" else ge, u_nums, comb))
 
 
 def _admissible(vs, umask, tight):
     """Generators that may enter a combination above (or tight to) supp(u).
 
     An "above" combination may not use a coordinate outside supp(u); a
-    tight one must use exactly supp(u).  umask is supp(u) as a bitmask.
+    tight one must use exactly supp(u), which is one lookup in the mask
+    index.  umask is supp(u) as a bitmask.  Both keep sorted order.
     """
     if tight:
-        return [v for v, m in vs.masks.items() if m == umask]
+        return vs.with_support(umask)
     return [v for v, m in vs.masks.items() if m | umask == umask]
 
 
@@ -207,32 +220,39 @@ def lp_feasible(query: DominanceQuery) -> Certificate:
     nums, den = clear_denominators(query.target)
     umask = support(nums)
     below = query.direction == "below"
-    gens = query.generators
-    if query.tight or not below:
-        gens = _admissible(gens, umask, query.tight)
+    vs = query.generators
+    gens = None  # the LP's generators, built only if the fast path misses
+    if query.tight:
+        gens = candidates = vs.with_support(umask)
         if not gens:
-            note = ("empty support filter" if query.tight
-                    else "no generators inside the target support")
-            return Certificate(False, query.target, query.direction, note=note)
-        candidates = gens
-    else:
+            return Certificate(False, query.target, query.direction,
+                               note="empty support filter")
+    elif below:
         # u_num <= den * v makes v nonzero wherever u_num > 0, so only
         # generators covering that mask can dominate; masks is in sorted
         # order, so the first hit is unchanged.
         pos = support([x > 0 for x in nums])
-        candidates = [v for v, m in gens.masks.items() if m & pos == pos]
+        candidates = (v for v, m in vs.masks.items() if m & pos == pos)
+    else:
+        candidates = (v for v, m in vs.masks.items() if m | umask == umask)
 
     # Pointwise fast path on ints: u <= v iff u_num <= den * v.
-    cert = None
-    for v in candidates:
-        if all(x <= den * y for x, y in zip(nums, v)) if below else all(
-            x >= den * y for x, y in zip(nums, v)
-        ):
-            cert = Certificate(True, query.target, query.direction,
-                               ((v, Fraction(1)),), note="pointwise")
-            break
-    if cert is None:
-        reps, result = _combination_lp(query.target, list(gens), below, scaled=False)
+    cmp = le if below else ge
+    if den == 1:
+        hit = next((v for v in candidates if all(map(cmp, nums, v))), None)
+    else:
+        hit = next((v for v in candidates
+                    if all(map(cmp, nums, map(den.__mul__, v)))), None)
+    if hit is not None:
+        cert = Certificate(True, query.target, query.direction,
+                           ((hit, _ONE),), note="pointwise")
+    else:
+        if gens is None:
+            gens = vs.sorted_vectors() if below else _admissible(vs, umask, False)
+        if not gens:
+            return Certificate(False, query.target, query.direction,
+                               note="no generators inside the target support")
+        reps, result = _combination_lp(query.target, gens, below, scaled=False)
         if result.status == OPTIMAL:
             coeffs = tuple(
                 (rep, lam) for rep, lam in zip(reps, result.solution) if lam != 0
@@ -464,8 +484,8 @@ def bounded_copy_checks(a: VectorSet, b: VectorSet, r: Fraction) -> BoundedCopyR
     violations = []
     sufficient = True
     for av, am in a.masks.items():
-        copies = [max(v) for v, vm in b.masks.items() if vm == am]
-        best = min(copies) if copies else None
+        copies = b.with_support(am)
+        best = min(map(max, copies)) if copies else None
         heights.append((av, best))
         size = sum(av)
         limit = r * size - size + r
@@ -504,7 +524,7 @@ def arithmetic_witness_check(circuit: Circuit, family: SetFamily, r: Fraction) -
         any(m & s == m for m in family.masks) for s in b.supports()
     )
     has_copies = all(
-        any(vm == m and max(v) <= r for v, vm in b.masks.items())
+        any(max(v) <= r for v in b.with_support(m))
         for m in family.masks
     )
     ok = covers and has_copies

@@ -24,7 +24,9 @@ final size is over the cap is the gate that raises.  A computation
 that raises caches nothing.  Two threads may fill the cache of one
 circuit at the same time; as with the cached evaluation program, both
 compute the same value on an immutable circuit, so the race is benign.
-The same holds for the support masks a VectorSet fills on first use.
+The same holds for the support masks and the mask index a VectorSet
+fills on first use: each is built whole and then stored, so a thread
+reads either none or a complete one.
 
 Size conventions follow the usual one for monotone circuits: the size
 of a circuit is its number of Add/Mul gates; input nodes are free.
@@ -35,6 +37,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
 
 from . import guards
 from .errors import DegenerateCircuit, GuardExceeded, UsageError
@@ -80,10 +84,14 @@ class VectorSet:
     `masks` maps each vector to its support bitmask (see support), in
     sorted vector order.  It is filled on first use, and iteration,
     sorted_vectors() and supports() read it, so a set is sorted and its
-    supports are computed once however often it is used.
+    supports are computed once however often it is used.  The mask
+    index, also filled on first use, maps each support bitmask to its
+    vectors in sorted order: with_support(mask) is one lookup, so a
+    support-matching (tight) filter does not scan the set.  Equality
+    and hashing read only n and the vectors.
     """
 
-    __slots__ = ("n", "vectors", "_masks")
+    __slots__ = ("n", "vectors", "_masks", "_index")
 
     def __init__(self, n: int, vectors):
         vecs = set()
@@ -102,6 +110,7 @@ class VectorSet:
         self.n = n
         self.vectors = frozenset(vecs)
         self._masks = None
+        self._index = None
 
     @classmethod
     def _of_checked(cls, n: int, vectors: frozenset) -> "VectorSet":
@@ -110,13 +119,24 @@ class VectorSet:
         vs.n = n
         vs.vectors = vectors
         vs._masks = None
+        vs._index = None
         return vs
 
     @property
     def masks(self) -> dict:
         if self._masks is None:
-            self._masks = {v: support(v) for v in sorted(self.vectors)}
+            bits = _bit_table(self.n)
+            self._masks = {v: sum(compress(bits, v)) for v in sorted(self.vectors)}
         return self._masks
+
+    def with_support(self, mask: int) -> tuple:
+        """The vectors whose support bitmask is mask, in sorted order."""
+        if self._index is None:
+            index = {}
+            for v, m in self.masks.items():
+                index.setdefault(m, []).append(v)
+            self._index = {m: tuple(vs) for m, vs in index.items()}
+        return self._index.get(mask, ())
 
     def sorted_vectors(self):
         return list(self.masks)
@@ -151,13 +171,20 @@ class VectorSet:
         return f"VectorSet(n={self.n}, {self.sorted_vectors()})"
 
 
+@lru_cache(maxsize=64)
+def _bit_table(n: int) -> tuple:
+    """The support bit of each of n coordinates: bit i for coordinate i."""
+    return tuple(1 << i for i in range(n))
+
+
 def support(v) -> int:
     """supp(v) as a bitmask: bit i is set iff v[i] != 0.
 
     Bit i stands for coordinate i, which is ground element i+1, so these
-    masks use the same encoding as SetFamily.masks.
+    masks use the same encoding as SetFamily.masks.  VectorSet.masks
+    computes the same sum with one bit table for the whole set.
     """
-    return sum(1 << i for i, c in enumerate(v) if c)
+    return sum(compress(_bit_table(len(v)), v))
 
 
 class Circuit:

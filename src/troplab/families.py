@@ -143,7 +143,8 @@ def optimum(family: SetFamily, x, sense: str) -> Fraction:
         raise UsageError(f"sense must be 'min' or 'max', got {sense!r}")
     if not family.masks:
         raise UsageError("optimum of an empty family")
-    weights = list(x)
+    # exact, as greedy and evaluate are: a float is converted as it is
+    weights = [w if isinstance(w, (int, Fraction)) else Fraction(w) for w in x]
     if len(weights) != family.n:
         raise UsageError(f"weighting arity {len(weights)} != ground size {family.n}")
     best = None
@@ -322,14 +323,39 @@ def predicates(family: SetFamily, k: int | None = None, d: int | None = None) ->
 
 
 def similar(a: VectorSet, b: VectorSet) -> bool:
-    """Every support in each set contains some support of the other."""
+    """Every support in each set contains some support of the other.
+
+    A support that is not in the other set exactly is compared only with
+    the other set's supports whose lowest bit is one of its own bits: a
+    mask inside s has its lowest bit in s.  The empty support (the zero
+    vector) lies inside every support.
+    """
     if a.n != b.n:
         raise UsageError("vector sets of different arity")
     sa = a.supports()
     sb = b.supports()
-    return all(s in sa or any(t & s == t for t in sa) for s in sb) and all(
-        s in sb or any(t & s == t for t in sb) for s in sa
-    )
+    return _covered(sb, sa) and _covered(sa, sb)
+
+
+def _covered(outer, inner) -> bool:
+    """Every mask in outer contains some mask in inner."""
+    if 0 in inner:
+        return True
+    buckets = {}
+    for t in inner:
+        buckets.setdefault(t & -t, []).append(t)
+
+    def inside(s):
+        bits = s
+        while bits:
+            low = bits & -bits
+            for t in buckets.get(low, ()):
+                if t & s == t:
+                    return True
+            bits ^= low
+        return False
+
+    return all(s in inner or inside(s) for s in outer)
 
 
 class BooleanTable:

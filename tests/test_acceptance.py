@@ -110,8 +110,9 @@ def test_criterion_01_selection():
                 assert c.gate_count <= 2 * k * n
                 for _ in range(1000):
                     den = rng.choice((1, 1, 2, 3, 4))
-                    x = [F(rng.randint(0, 400), den) for _ in range(n)]
-                    assert evaluate(c, x) == sum(sorted(x, reverse=True)[:k])
+                    nums = [rng.randint(0, 400) for _ in range(n)]
+                    x = [F(num, den) for num in nums]
+                    assert evaluate(c, x) == F(sum(sorted(nums, reverse=True)[:k]), den)
 
 
 HIERARCHY_PAIRS = [(2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (5, 3)]

@@ -70,6 +70,29 @@ def test_empty_tight_filter_is_a_verdict():
     assert not cert.feasible and "support" in cert.note
 
 
+def test_filter_notes():
+    # (1, 0) lies inside supp(1, 1) and below it, but no generator's
+    # support equals supp(1, 1)
+    gens = VectorSet(2, [(1, 0), (0, 3)])
+    assert lp_feasible(DominanceQuery((1, 1), gens, "above")).note == "pointwise"
+    tight = lp_feasible(DominanceQuery((1, 1), gens, "above", tight=True))
+    assert (tight.feasible, tight.coefficients, tight.note) == (
+        False, None, "empty support filter")
+    # no generator's support lies inside supp(1, 0)
+    gens = VectorSet(2, [(1, 1), (0, 2)])
+    above = lp_feasible(DominanceQuery((1, 0), gens, "above"))
+    assert (above.feasible, above.coefficients, above.note) == (
+        False, None, "no generators inside the target support")
+    # admissible generators, none pointwise below: the LP decides, with
+    # (3, 3) filtered out and (1, 3) never admitted
+    gens = VectorSet(2, [(2, 0), (0, 2), (3, 3), (1, 3)])
+    lp = lp_feasible(DominanceQuery((1, 1), gens, "above"))
+    assert lp.feasible and lp.note == ""
+    assert dict(lp.coefficients) == {(0, 2): Fraction(1, 2), (2, 0): Fraction(1, 2)}
+    miss = lp_feasible(DominanceQuery((1, 0), VectorSet(2, [(2, 0), (1, 1)]), "above"))
+    assert (miss.feasible, miss.note) == (False, "")
+
+
 @pytest.mark.parametrize("target, gens, direction, message", [
     ((1, 0), ((1, 0), (1, 0, 0)), "below", "generator arity mismatch"),
     ((1, 0, 0), ((1, 0),), "above", "generator arity mismatch"),

@@ -91,10 +91,36 @@ def test_vector_set_masks_are_sorted_and_ignored_by_equality(rng):
         assert cold._masks is None
 
 
+def test_vector_set_mask_index(rng):
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        raw = {tuple(rng.randint(0, 2) for _ in range(n))
+               for _ in range(rng.randint(0, 12))}
+        cold = VectorSet(n, raw)
+        for vs in (VectorSet(n, list(raw)), VectorSet._of_checked(n, frozenset(raw))):
+            assert vs._index is None
+            vs.with_support(0)
+            index = vs._index
+            # every vector once, under its own mask, in sorted order
+            listed = [v for vecs in index.values() for v in vecs]
+            assert sorted(listed) == sorted(raw) and len(listed) == len(raw)
+            for mask, vecs in index.items():
+                assert list(vecs) == sorted(vecs)
+                assert all(vs.masks[v] == mask for v in vecs)
+                assert vs.with_support(mask) is vecs
+            assert set(index) == vs.supports()
+            absent = next(m for m in range(1 << n + 1) if m not in index)
+            assert vs.with_support(absent) == ()
+            assert vs == cold and hash(vs) == hash(cold)
+        assert cold._index is None and cold._masks is None
+
+
 def test_threads_filling_one_vector_set_see_the_same_masks():
-    # more threads than cores, switching often, all filling the masks of
-    # one fresh set at once: each must read every vector in sorted order
+    # more threads than cores, switching often, all filling the masks and
+    # the mask index of one fresh set at once: each must read every
+    # vector in sorted order
     want = sorted({(i % 5, i % 7, i % 3) for i in range(300)})
+    full = tuple(v for v in want if all(v))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -105,7 +131,8 @@ def test_threads_filling_one_vector_set_see_the_same_masks():
 
             def read(i):
                 start.wait()
-                got[i] = (vs.sorted_vectors(), list(vs), vs.supports())
+                got[i] = (vs.with_support(0b111), vs.sorted_vectors(), list(vs),
+                          vs.supports())
 
             threads = [threading.Thread(target=read, args=(i,)) for i in range(6)]
             for t in threads:
@@ -113,7 +140,7 @@ def test_threads_filling_one_vector_set_see_the_same_masks():
             for t in threads:
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
-            assert got == [(want, want, vs.supports())] * 6
+            assert got == [(full, want, want, vs.supports())] * 6
     finally:
         sys.setswitchinterval(interval)
 

@@ -51,6 +51,19 @@ def test_optimum_examples():
     assert optimum(star, x, "max") == 3
 
 
+def test_optimum_is_exact_on_float_weights():
+    # greedy sums the same floats exactly, so a float optimum made the
+    # min run "beat" it and the max ratio inexact
+    from troplab.greedy import greedy_run
+
+    fam = SetFamily(3, [(1, 2), (3,)])
+    for x in ([0.1, 0.2, 0.30000000000000004], [0.1, 0.2, 0.3]):
+        for sense in ("min", "max"):
+            exact = optimum(fam, [Fraction(w) for w in x], sense)
+            assert optimum(fam, x, sense) == exact
+            assert greedy_run(fam, x, sense).optimum == exact
+
+
 def test_optimum_guards():
     fam = SetFamily(2, [(1,)])
     with pytest.raises(UsageError):
@@ -119,6 +132,17 @@ def test_similar_examples():
     assert similar(a, b)
     assert not similar(VectorSet(2, [(1, 0)]), VectorSet(2, [(0, 1)]))
     assert similar(a, a)
+
+
+def test_similar_with_the_zero_vector():
+    # the empty support lies inside every support, and only the empty
+    # support lies inside it
+    zero = VectorSet(3, [(0, 0, 0)])
+    both = VectorSet(3, [(0, 0, 0), (0, 2, 1)])
+    assert similar(zero, both) and similar(both, zero)
+    assert similar(VectorSet(3, [(0, 0, 0), (1, 1, 0)]), VectorSet(3, [(0, 0, 0), (0, 1, 1)]))
+    assert not similar(zero, VectorSet(3, [(1, 0, 0), (0, 1, 1)]))
+    assert not similar(VectorSet(3, [(1, 0, 0)]), both)
 
 
 def test_boolean_function_examples():
