@@ -103,7 +103,6 @@ from .sumsets import (
     NormMeasure,
     Rectangle,
     audit_circuit_rectangles,
-    balanced_in_rectangle,
     counting_bound,
     decompose,
     design_bound,

@@ -42,9 +42,12 @@ as DominanceQuery.generators, and the produced set is cached on its
 circuit, so sorting and supports are paid once per set, not once per
 call or query; support filters and certificate checks compare those
 masks, and tight filters, bounded_copy_checks and
-arithmetic_witness_check look vectors up by mask.  Each query still
-goes through the module-level lp_feasible binding, one call per query,
-so a wrapper installed on that binding sees every query.
+arithmetic_witness_check look vectors up by mask.  Whether a support
+contains some support of a set (exact_factor's tight validity check,
+arithmetic_witness_check's cover test) is decided by one kernel,
+families.cover_test.  Each query still goes through the module-level
+lp_feasible binding, one call per query, so a wrapper installed on
+that binding sees every query.
 
 Circuits with constant inputs are certified through their constant-free
 core (strip_constants is applied up front): eliminating constants
@@ -77,7 +80,7 @@ from .circuits import (
 )
 from . import guards
 from .errors import InternalCheck, UsageError
-from .families import SetFamily, boolean_function_of, is_antichain, similar
+from .families import SetFamily, boolean_function_of, cover_test, is_antichain, similar
 from .rationals import clear_denominators
 from .simplex import OPTIMAL, solve_lp
 
@@ -401,15 +404,18 @@ def exact_factor(circuit: Circuit, a: VectorSet, sense: str) -> FactorResult:
     direction = "below" if sense == "max" else "above"
     tight = sense == "min" and is_zero_one_antichain(a)
 
-    for v, vm in b.masks.items():
-        if tight:
-            # on 0-1 antichains validity is pointwise domination: v >= a
-            # iff supp(a) lies inside supp(v)
-            ok = any(am & vm == am for am in a.masks.values())
-        else:
-            ok = lp_feasible(DominanceQuery(v, a, direction)).feasible
-        if not ok:
-            return FactorResult("invalid", witness=v)
+    if tight:
+        # on 0-1 antichains validity is pointwise domination: v >= a iff
+        # supp(v) contains some supp(a), so each distinct support is tested
+        # once and the witness is the least vector with a failed support
+        covers = cover_test(a.supports())
+        failed = {m for m in b.supports() if not covers(m)}
+        bad = next((v for v, m in b.masks.items() if m in failed), None)
+    else:
+        bad = next((v for v in b
+                    if not lp_feasible(DominanceQuery(v, a, direction)).feasible), None)
+    if bad is not None:
+        return FactorResult("invalid", witness=bad)
     best = None
     witness = None
     for av in a:
@@ -520,9 +526,7 @@ def arithmetic_witness_check(circuit: Circuit, family: SetFamily, r: Fraction) -
         raise UsageError("the family must be an antichain")
     b = produced_set(circuit)
 
-    covers = all(
-        any(m & s == m for m in family.masks) for s in b.supports()
-    )
+    covers = all(map(cover_test(family.masks), b.supports()))
     has_copies = all(
         any(max(v) <= r for v in b.with_support(m))
         for m in family.masks

@@ -279,26 +279,33 @@ def _check_weights(c: Circuit, x):
         raise UsageError("negative weight")
 
 
-_OP_VAR, _OP_CONST, _OP_ADD, _OP_MUL = range(4)
+_OP_LEAF, _OP_ADD, _OP_MUL = range(3)
 
 
 def _program(c: Circuit):
-    """Positional form of the node list, cached on the circuit."""
+    """Positional form of the node list, cached on the circuit.
+
+    Returns (ops, output position, constants).  Each op is (kind, a, b):
+    a gate reads the values at positions a and b, and a leaf reads
+    entry a of the weights followed by the constants, so variable i is
+    entry i - 1 and the j-th constant node (from 0) is entry n + j.
+    """
     if c._program is None:
         pos = {}
         prog = []
+        consts = []
         for i, (nid, node) in enumerate(c.nodes):
             pos[nid] = i
             if isinstance(node, Var):
-                prog.append((_OP_VAR, node.index - 1, 0))
+                prog.append((_OP_LEAF, node.index - 1, 0))
             elif isinstance(node, Const):
-                prog.append((_OP_CONST, node.value, 0))
+                prog.append((_OP_LEAF, c.n + len(consts), 0))
+                consts.append(node.value)
             elif isinstance(node, Add):
                 prog.append((_OP_ADD, pos[node.left], pos[node.right]))
             else:
                 prog.append((_OP_MUL, pos[node.left], pos[node.right]))
-        has_const = any(op == _OP_CONST for op, _, _ in prog)
-        c._program = (prog, pos[c.output], has_const)
+        c._program = (prog, pos[c.output], tuple(consts))
     return c._program
 
 
@@ -306,66 +313,54 @@ def evaluate(c: Circuit, x):
     """Value of the circuit's polynomial at the weighting x.
 
     Returns a Fraction for the tropical and arithmetic views and an int
-    in {0,1} for the boolean view.  Tropical evaluation of
-    constant-free circuits is homogeneous, so rational weightings are
-    scaled to integers and evaluated in integer arithmetic (exact).
+    in {0,1} for the boolean view.  Tropical evaluation clears the
+    denominators of the weights and the constants together and runs on
+    ints: min, max and + commute with scaling by one positive number,
+    so dividing the int result by that scale is exact.
     """
     c.require_valid()
     if c.semiring == MINKOWSKI:
         raise UsageError("minkowski circuits are evaluated via produced_set")
     _check_weights(c, x)
-    prog, out, has_const = _program(c)
+    prog, out, consts = _program(c)
     values = [0] * len(prog)
 
     if c.semiring == BOOLEAN:
+        leaves = [*map(int, x), *map(int, consts)]
         for i, (op, a, b) in enumerate(prog):
-            if op == _OP_VAR:
-                values[i] = int(x[a])
-            elif op == _OP_CONST:
-                values[i] = int(a)
+            if op == _OP_LEAF:
+                values[i] = leaves[a]
             elif op == _OP_ADD:
                 values[i] = values[a] | values[b]
             else:
                 values[i] = values[a] & values[b]
         return values[out]
 
-    if c.semiring in TROPICAL and not has_const:
-        if all(type(v) is int for v in x):
-            scale, ints = 1, x
-        else:
-            ints, scale = clear_denominators(x)
-        use_min = c.semiring == MINPLUS
+    if c.semiring == ARITHMETIC:
+        leaves = [*map(Fraction, x), *consts]
         for i, (op, a, b) in enumerate(prog):
-            if op == _OP_VAR:
-                values[i] = ints[a]
+            if op == _OP_LEAF:
+                values[i] = leaves[a]
             elif op == _OP_ADD:
-                va, vb = values[a], values[b]
-                if use_min:
-                    values[i] = va if va <= vb else vb
-                else:
-                    values[i] = va if va >= vb else vb
-            else:
                 values[i] = values[a] + values[b]
-        return Fraction(values[out], scale)
+            else:
+                values[i] = values[a] * values[b]
+        return values[out]
 
-    xs = [Fraction(v) for v in x]
+    leaves, scale = clear_denominators([*x, *consts])
+    use_min = c.semiring == MINPLUS
     for i, (op, a, b) in enumerate(prog):
-        if op == _OP_VAR:
-            values[i] = xs[a]
-        elif op == _OP_CONST:
-            values[i] = a
+        if op == _OP_LEAF:
+            values[i] = leaves[a]
         elif op == _OP_ADD:
             va, vb = values[a], values[b]
-            if c.semiring == MINPLUS:
+            if use_min:
                 values[i] = va if va <= vb else vb
-            elif c.semiring == MAXPLUS:
-                values[i] = va if va >= vb else vb
             else:
-                values[i] = va + vb
+                values[i] = va if va >= vb else vb
         else:
-            va, vb = values[a], values[b]
-            values[i] = va + vb if c.semiring in TROPICAL else va * vb
-    return values[out]
+            values[i] = values[a] + values[b]
+    return Fraction(values[out], scale)
 
 
 # ---------------------------------------------------------------------------

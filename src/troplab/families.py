@@ -323,29 +323,32 @@ def predicates(family: SetFamily, k: int | None = None, d: int | None = None) ->
 
 
 def similar(a: VectorSet, b: VectorSet) -> bool:
-    """Every support in each set contains some support of the other.
-
-    A support that is not in the other set exactly is compared only with
-    the other set's supports whose lowest bit is one of its own bits: a
-    mask inside s has its lowest bit in s.  The empty support (the zero
-    vector) lies inside every support.
-    """
+    """Every support in each set contains some support of the other."""
     if a.n != b.n:
         raise UsageError("vector sets of different arity")
     sa = a.supports()
     sb = b.supports()
-    return _covered(sb, sa) and _covered(sa, sb)
+    return all(map(cover_test(sa), sb)) and all(map(cover_test(sb), sa))
 
 
-def _covered(outer, inner) -> bool:
-    """Every mask in outer contains some mask in inner."""
-    if 0 in inner:
-        return True
+def cover_test(inner):
+    """The predicate covers(s): does the mask s contain some mask of inner?
+
+    A mask that is not in inner exactly is compared only with the masks
+    of inner whose lowest bit is one of its own bits: a mask inside s
+    has its lowest bit in s.  The empty mask (the zero vector's
+    support) lies inside every mask.
+    """
+    members = set(inner)
+    if 0 in members:
+        return lambda s: True
     buckets = {}
-    for t in inner:
+    for t in members:
         buckets.setdefault(t & -t, []).append(t)
 
-    def inside(s):
+    def covers(s):
+        if s in members:
+            return True
         bits = s
         while bits:
             low = bits & -bits
@@ -355,7 +358,7 @@ def _covered(outer, inner) -> bool:
             bits ^= low
         return False
 
-    return all(s in inner or inside(s) for s in outer)
+    return covers
 
 
 class BooleanTable:
@@ -383,14 +386,6 @@ class BooleanTable:
             if all(not self.value(m ^ (1 << i)) for i in range(self.n) if m >> i & 1):
                 mins.append(tuple((m >> i) & 1 for i in range(self.n)))
         return VectorSet(self.n, mins)
-
-    def is_monotone(self) -> bool:
-        for i in range(self.n):
-            step = 1 << i
-            for m in range(1 << self.n):
-                if not m >> i & 1 and self.value(m) > self.value(m | step):
-                    return False
-        return True
 
     def __eq__(self, other):
         return (

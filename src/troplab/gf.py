@@ -256,39 +256,7 @@ class FieldElement:
         return f"GF({self.field.p}^{self.field.k}):{list(self.coeffs)}"
 
 
-def field_ops(a: FieldElement, b, op: str) -> FieldElement:
-    """Dispatcher for the four field operations.
-
-    `b` is the second element for ``+`` and ``*``, an integer exponent
-    for ``pow``, and ignored for ``inverse``.
-    """
-    if op == "+":
-        return a + b
-    if op == "*":
-        return a * b
-    if op == "inverse":
-        return a.inverse()
-    if op == "pow":
-        return a ** int(b)
-    raise UsageError(f"unknown field operation {op!r}")
-
-
 def power_map_is_bijective(field: Field, exponent: int) -> bool:
     """Exhaustively test whether x -> x^exponent permutes the field."""
     seen = {(e**exponent).coeffs for e in field.elements()}
     return len(seen) == field.order
-
-
-def format_element(e: FieldElement) -> str:
-    body = ",".join(str(c) for c in e.coeffs)
-    return f"{e.field.p},{e.field.k}:[{body}]"
-
-
-def parse_element(text: str) -> FieldElement:
-    try:
-        head, body = text.split(":", 1)
-        p, k = (int(x) for x in head.split(","))
-        coeffs = tuple(int(x) for x in body.strip()[1:-1].split(","))
-    except ValueError as exc:
-        raise UsageError(f"malformed field element {text!r}") from exc
-    return Field.of(p, k).element(coeffs)

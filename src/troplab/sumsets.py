@@ -59,24 +59,6 @@ class NormMeasure:
     def __call__(self, vec) -> Fraction:
         return sum((Fraction(w) * c for w, c in zip(self.weights, vec)), Fraction(0))
 
-    def check_axioms_on(self, vectors) -> bool:
-        """Spot-check the axioms on the finite set an audit touches."""
-        n = len(self.weights)
-        zero = (0,) * n
-        if self(zero) > 1:
-            return False
-        for i in range(n):
-            unit = zero[:i] + (1,) + zero[i + 1 :]
-            if self(unit) > 1:
-                return False
-        vecs = list(vectors)
-        for x in vecs:
-            for y in vecs:
-                s = tuple(a + b for a, b in zip(x, y))
-                if not self(x) <= self(s) <= self(x) + self(y):
-                    return False
-        return True
-
 
 def residues(circuit: Circuit) -> list[GateSumset]:
     """Sumset pr(v) + res(v) for every node, input nodes included.
@@ -229,23 +211,15 @@ def rectangle_below_family(rect: Rectangle, family: SetFamily) -> bool:
     )
 
 
-def balanced_in_rectangle(
-    f_mask: int, rect: Rectangle, r: Fraction, beta: Fraction
-) -> bool:
-    """Does the set appear (r, beta)-balanced in the rectangle?
-
-    Needs one pair (A, B) with |F n (A u B)| >= |F|/r,
-    |F n A| > (beta/2r)|F| (strict) and |F n B| >= ((1-beta)/r)|F|.
-    The counts are ints, so the three bounds are rounded to ints once
-    (floor for the strict one, ceiling for the others) and every pair
-    is tested with int comparisons only.
-    """
-    thresholds = _balance_thresholds(f_mask.bit_count(), Fraction(r), Fraction(beta))
-    return _balanced(f_mask, rect, *thresholds)
-
-
 def _balance_thresholds(size, r, beta):
-    """Ints a, u, b: balanced iff |F n A| > a, |F n (A u B)| >= u, |F n B| >= b."""
+    """Ints a, u, b: balanced iff |F n A| > a, |F n (A u B)| >= u, |F n B| >= b.
+
+    A set F of the given size appears (r, beta)-balanced in a rectangle
+    when one pair (A, B) has |F n (A u B)| >= |F|/r, |F n A| >
+    (beta/2r)|F| (strict) and |F n B| >= ((1-beta)/r)|F|.  The counts
+    are ints, so each bound is rounded once: floor for the strict one,
+    ceiling for the others.
+    """
     return (
         floor_rational(beta * size / (2 * r)),
         ceil_rational(size / r),

@@ -1,10 +1,11 @@
-"""Seeded random-circuit corpora for the property suites and reports.
+"""Seeded random Minkowski circuits for `troplab report decomposition`.
 
 Circuits are sampled gate by gate (children uniform over earlier
-nodes), biased toward union/min/max gates so produced sets stay at desk
-scale; a sample whose produced set overruns the requested cap is
-discarded and redrawn.  All draws go through the caller's Random
-instance, so corpora are reproducible from the seed alone.
+nodes, a sum gate with probability mul_prob); a sample whose produced
+set overruns the requested cap is discarded and redrawn.  All draws go
+through the caller's Random instance, so a corpus is reproducible from
+the seed alone.  The test suite draws its tropical and boolean corpora
+with the same _sample and _bounded.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from fractions import Fraction
 
 from . import guards
 from .circuits import (
-    BOOLEAN,
     MINKOWSKI,
     Add,
     Circuit,
@@ -55,30 +55,6 @@ def _bounded(rng, make, cap):
         return c, b
 
 
-def random_tropical_circuit(
-    rng,
-    *,
-    max_n: int = 6,
-    max_gates: int = 12,
-    with_constants: bool = True,
-    max_produced: int = 60,
-):
-    """(circuit, produced set) with a tropical tag and bounded produced set."""
-    def make():
-        n = rng.randint(2, max_n)
-        gates = rng.randint(2, max_gates)
-        semiring = rng.choice(("minplus", "maxplus"))
-        consts = []
-        if with_constants:
-            consts = [
-                Fraction(rng.randint(0, 6), rng.randint(1, 3))
-                for _ in range(rng.randint(1, 2))
-            ]
-        return _sample(rng, semiring, n, gates, 0.35, consts)
-
-    return _bounded(rng, make, max_produced)
-
-
 def random_minkowski_circuit(
     rng, *, max_n: int = 6, max_gates: int = 15, max_produced: int = 40
 ):
@@ -92,14 +68,3 @@ def random_minkowski_circuit(
     circuit, _ = _bounded(rng, make, max_produced)
     return circuit
 
-
-def random_monotone_boolean_circuit(
-    rng, *, n: int, max_gates: int = 8, max_produced: int = 80
-):
-    """Constant-free monotone circuit on exactly n variables."""
-    def make():
-        gates = rng.randint(1, max_gates)
-        return _sample(rng, BOOLEAN, n, gates, 0.45, [])
-
-    circuit, _ = _bounded(rng, make, max_produced)
-    return circuit

@@ -1,8 +1,11 @@
-"""Shared brute-force oracles for the test suite.
+"""Shared brute-force oracles and seeded corpora for the test suite.
 
-These are deliberately independent of the library code paths they
-check: path sets come from permutation enumeration, optima from direct
-scans, tropical values from the produced-set formula.
+The oracles are deliberately independent of the library code paths
+they check: path sets come from permutation enumeration, optima from
+direct scans, tropical values from the produced-set formula, norm
+axioms from pairwise sums.  The random-circuit corpora sample with
+troplab.tools' sampler, so a seed draws the same circuits as it did
+when they lived there.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import pytest
 
 from troplab import guards
 from troplab.builders import edge_count, edge_var
-from troplab.circuits import MAXPLUS, MINPLUS, VectorSet, produced_set
+from troplab.circuits import BOOLEAN, MAXPLUS, MINPLUS, VectorSet, produced_set
+from troplab.tools import _bounded, _sample
 
 
 def simple_path_vectors(n: int, s: int, t: int) -> VectorSet:
@@ -80,6 +84,61 @@ def tropical_value_oracle(circuit, x) -> Fraction:
         sum(Fraction(xi) * bi for xi, bi in zip(x, b))
         for b in produced_set(circuit)
     )
+
+
+def norm_axioms_hold(mu, vectors) -> bool:
+    """Spot-check a NormMeasure's axioms on the finite set an audit touches."""
+    n = len(mu.weights)
+    zero = (0,) * n
+    if mu(zero) > 1:
+        return False
+    for i in range(n):
+        unit = zero[:i] + (1,) + zero[i + 1 :]
+        if mu(unit) > 1:
+            return False
+    vecs = list(vectors)
+    for x in vecs:
+        for y in vecs:
+            s = tuple(a + b for a, b in zip(x, y))
+            if not mu(x) <= mu(s) <= mu(x) + mu(y):
+                return False
+    return True
+
+
+def random_tropical_circuit(
+    rng,
+    *,
+    max_n: int = 6,
+    max_gates: int = 12,
+    with_constants: bool = True,
+    max_produced: int = 60,
+):
+    """(circuit, produced set) with a tropical tag and bounded produced set."""
+    def make():
+        n = rng.randint(2, max_n)
+        gates = rng.randint(2, max_gates)
+        semiring = rng.choice((MINPLUS, MAXPLUS))
+        consts = []
+        if with_constants:
+            consts = [
+                Fraction(rng.randint(0, 6), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 2))
+            ]
+        return _sample(rng, semiring, n, gates, 0.35, consts)
+
+    return _bounded(rng, make, max_produced)
+
+
+def random_monotone_boolean_circuit(
+    rng, *, n: int, max_gates: int = 8, max_produced: int = 80
+):
+    """Constant-free monotone circuit on exactly n variables."""
+    def make():
+        gates = rng.randint(1, max_gates)
+        return _sample(rng, BOOLEAN, n, gates, 0.45, [])
+
+    circuit, _ = _bounded(rng, make, max_produced)
+    return circuit
 
 
 @pytest.fixture(autouse=True)

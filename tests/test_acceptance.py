@@ -17,7 +17,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import simple_path_vectors, spanning_tree_vectors
+from conftest import (
+    norm_axioms_hold,
+    random_monotone_boolean_circuit,
+    random_tropical_circuit,
+    simple_path_vectors,
+    spanning_tree_vectors,
+)
 from fm_oracle import fm_cross_check
 from troplab import certify
 from troplab.builders import (
@@ -74,11 +80,7 @@ from troplab.generators import (
 from troplab.gf import Field, power_map_is_bijective
 from troplab.greedy import greedy_run, matroid_failure_witness
 from troplab.sumsets import NormMeasure, audit_circuit_rectangles, decompose, design_bound
-from troplab.tools import (
-    random_minkowski_circuit,
-    random_monotone_boolean_circuit,
-    random_tropical_circuit,
-)
+from troplab.tools import random_minkowski_circuit
 
 F = Fraction
 
@@ -252,7 +254,7 @@ def test_criterion_08_decomposition_windows():
                 if any(w):
                     norms.append(NormMeasure("rand", w))
             for mu in norms:
-                assert mu.check_axioms_on(list(b)[:6])
+                assert norm_axioms_hold(mu, list(b)[:6])
                 for vec in b:
                     nb = mu(vec)
                     if nb <= 1:

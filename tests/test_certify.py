@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import simple_path_vectors
+from conftest import random_tropical_circuit, simple_path_vectors
 from fm_oracle import fm_cross_check
 from troplab import certify, guards
 from troplab.builders import bellman_ford_circuit, selection_circuit
 from troplab.certify import (
     Certificate,
     DominanceQuery,
+    FactorResult,
     arithmetic_witness_check,
     boolean_bound_check,
     boolean_versions_agree,
@@ -41,7 +42,6 @@ from troplab.circuits import (
 from troplab.errors import UsageError
 from troplab.families import SetFamily, boolean_function_of, similar
 from troplab.simplex import solve_lp
-from troplab.tools import random_tropical_circuit
 
 H = Fraction(1, 2)
 
@@ -362,7 +362,14 @@ def test_exact_factor_invalid_and_infinite():
     cm = Circuit(MINPLUS, 2, [("v1", Var(1)), ("v2", Var(2)),
                               ("g", Mul("v1", "v2"))], "g")
     res3 = exact_factor(cm, VectorSet(2, [(1, 0)]), "min")
-    assert res3.status == "invalid" or res3.status == "infinite"
+    assert res3 == FactorResult("infinite", witness=(1, 0))
+    # tight validity: min(x1, x2, x3) against the 0-1 antichain {x1 + x2, x3};
+    # (1,0,0) and (0,1,0) contain no member's support, and the witness is
+    # the least of them in sorted order
+    c3 = Circuit(MINPLUS, 3, [("v1", Var(1)), ("v2", Var(2)), ("v3", Var(3)),
+                              ("g1", Add("v1", "v2")), ("g2", Add("g1", "v3"))], "g2")
+    res4 = exact_factor(c3, VectorSet(3, [(1, 1, 0), (0, 0, 1)]), "min")
+    assert res4 == FactorResult("invalid", witness=(0, 1, 0))
 
 
 def test_monotonicity_in_r(rng):
@@ -534,6 +541,9 @@ def test_arithmetic_witness_check():
                                     ("g", Add("v1", "v2"))], "g")
     fam2 = SetFamily(2, [(1,), (2,)])
     assert arithmetic_witness_check(ident, fam2, 1)
+    # x1 + x2 against {{1}}: the member has its copy x1 of height 1, but
+    # the monomial x2 contains no member, so only the cover test fails
+    assert not arithmetic_witness_check(ident, SetFamily(2, [(1,)]), 1)
     with pytest.raises(UsageError):
         arithmetic_witness_check(ident, SetFamily(2, [(1,), (1, 2)]), 1)
 

@@ -8,7 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import tropical_value_oracle
+from conftest import (
+    random_monotone_boolean_circuit,
+    random_tropical_circuit,
+    tropical_value_oracle,
+)
 from troplab import circuits, guards
 from troplab.circuits import (
     ARITHMETIC,
@@ -33,7 +37,6 @@ from troplab.circuits import (
     validate,
 )
 from troplab.errors import DegenerateCircuit, GuardExceeded, UsageError
-from troplab.tools import random_monotone_boolean_circuit, random_tropical_circuit
 
 
 def _c(semiring, n, nodes, out):
@@ -170,6 +173,41 @@ def test_evaluate_rational_weights_exact():
     c = min_x12_x3()
     x = [Fraction(1, 3), Fraction(1, 6), Fraction(2, 5)]
     assert evaluate(c, x) == min(x[0] + x[1], x[2])
+
+
+def _fraction_value(c: Circuit, x) -> Fraction:
+    """A tropical circuit's value, node by node in Fraction arithmetic."""
+    opt = min if c.semiring == MINPLUS else max
+    values = {}
+    for nid, node in c.nodes:
+        if isinstance(node, Var):
+            values[nid] = Fraction(x[node.index - 1])
+        elif isinstance(node, Const):
+            values[nid] = node.value
+        elif isinstance(node, Add):
+            values[nid] = opt(values[node.left], values[node.right])
+        else:
+            values[nid] = values[node.left] + values[node.right]
+    return values[c.output]
+
+
+def test_evaluate_tropical_constants_match_fraction_reference():
+    """Weights and constants are scaled together: int, Fraction and float
+    weights against a node-by-node Fraction evaluation."""
+    rng = random.Random(1212)
+    draws = (
+        lambda: rng.randint(0, 12),
+        lambda: Fraction(rng.randint(0, 30), rng.randint(1, 7)),
+        lambda: rng.randint(0, 40) / 10,  # 0.1 and the like convert exactly, over 2**k
+    )
+    for _ in range(80):
+        c, _ = random_tropical_circuit(rng)
+        assert not c.is_constant_free
+        for draw in draws:
+            for _ in range(5):
+                x = [draw() for _ in range(c.n)]
+                got = evaluate(c, x)
+                assert type(got) is Fraction and got == _fraction_value(c, x)
 
 
 def test_produced_set_examples():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import norm_axioms_hold
 from troplab.builders import selection_circuit
 from troplab.circuits import (
     MINKOWSKI,
@@ -21,8 +22,9 @@ from troplab.families import SetFamily
 from troplab.sumsets import (
     NormMeasure,
     Rectangle,
+    _balance_thresholds,
+    _balanced,
     audit_circuit_rectangles,
-    balanced_in_rectangle,
     counting_bound,
     decompose,
     design_bound,
@@ -93,7 +95,7 @@ def test_decompose_preconditions():
 
 def test_norm_axioms_spot_check():
     mu = NormMeasure("dot", (1, 0, F(1, 3)))
-    assert mu.check_axioms_on([(1, 0, 0), (0, 2, 1), (3, 1, 2)])
+    assert norm_axioms_hold(mu, [(1, 0, 0), (0, 2, 1), (3, 1, 2)])
 
 
 def test_decomposition_window_property(rng):
@@ -129,6 +131,17 @@ def test_decompose_at_output_is_whole_vector():
 
 # ---------------------------------------------------------------------------
 # Rectangles
+
+
+def balanced_in_rectangle(f_mask, rect, r, beta):
+    """Does the set appear (r, beta)-balanced in the rectangle?
+
+    Needs one pair (A, B) with |F n (A u B)| >= |F|/r,
+    |F n A| > (beta/2r)|F| (strict) and |F n B| >= ((1-beta)/r)|F|;
+    this is the audit's own test of one set: its int thresholds, then
+    its pair scan.
+    """
+    return _balanced(f_mask, rect, *_balance_thresholds(f_mask.bit_count(), F(r), F(beta)))
 
 
 def test_balanced_in_rectangle_split_member():
