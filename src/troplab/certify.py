@@ -16,15 +16,16 @@ generator set?  Everything else reduces to it:
 
 Every query, feasibility or scale, is one LP shape (_combination_lp):
 convex multipliers over the distinct projections of the admissible
-generators onto supp(u).  Support filtering is mandatory for "above"
-and tight queries; a single-generator dominance fast path, comparing
-ints once the target's denominators are cleared, answers before the
-exact simplex runs.  A tight filter is one lookup in the generator
-set's mask index (VectorSet.with_support).  An "above" query filters
-as it scans: the fast path takes the first admissible generator the
-target dominates, and the full admissible list is built only when no
-generator does.  A "below" query first narrows that path by
-bitmask: generators are nonnegative and den > 0, so u_num <= den * v
+generators onto supp(u); a scale LP, read for its optimum only, keeps
+just the undominated projections.  Support filtering is mandatory for
+"above" and tight queries; a single-generator dominance fast path,
+comparing ints once the target's denominators are cleared, answers
+before the exact simplex runs.  A tight filter is one lookup in the
+generator set's mask index (VectorSet.with_support).  An "above"
+query filters as it scans: the fast path takes the first admissible
+generator the target dominates, and the full admissible list is built
+only when no generator does.  A "below" query first narrows that path
+by bitmask: generators are nonnegative and den > 0, so u_num <= den * v
 at a coordinate where u_num > 0 forces v > 0 there, whatever the sign
 of u elsewhere; only generators whose support covers the target's
 positive support are compared entry by entry, and the first one that
@@ -184,6 +185,22 @@ def _admissible(vs, umask, tight):
     return [v for v, m in vs.masks.items() if m | umask == umask]
 
 
+def _undominated(keys, below):
+    """The keys no other key dominates (>= everywhere when below, else <=).
+
+    A dominator has a strictly larger (smaller) coordinate sum, so
+    walking the keys by sum meets it first; comparing against the keys
+    already kept suffices, since dominance is transitive.  Sorted order
+    is kept.
+    """
+    cmp = ge if below else le
+    kept = []
+    for key in sorted(keys, key=sum, reverse=below):
+        if not any(all(map(cmp, k, key)) for k in kept):
+            kept.append(key)
+    return sorted(kept)
+
+
 def _combination_lp(target, gens, below, scaled):
     """The one LP shape behind every dominance and factor question.
 
@@ -193,7 +210,13 @@ def _combination_lp(target, gens, below, scaled):
     the combination is >= the target when `below`, <= it otherwise.  With
     `scaled` a last column t multiplies the target and the LP optimizes
     it (max when below, min otherwise); without, it is a feasibility LP.
-    Returns the column representatives and the LP result.
+    A scaled LP keeps only the undominated columns: a column that
+    another dominates (is below it when `below`, above it otherwise) can
+    hand its multiplier to the dominating one without making t worse, so
+    the optimum is the same, and scale LPs are read for their objective
+    only.  A feasibility LP keeps every column, since its multipliers
+    are the printed certificate.  Returns the column representatives and
+    the LP result.
     """
     coords = [i for i, c in enumerate(target) if c]
     # itemgetter() raises and itemgetter(i) returns a scalar, not a tuple
@@ -202,7 +225,7 @@ def _combination_lp(target, gens, below, scaled):
     # built from the reversed generators, so each key keeps its first one
     backwards = gens[::-1]
     reps = dict(zip(map(project, backwards), backwards))
-    keys = sorted(reps)
+    keys = _undominated(reps, below) if scaled else sorted(reps)
     rel = ">=" if below else "<="
     constraints = []
     for row, coord in zip(zip(*keys), coords):

@@ -3,14 +3,19 @@
 The tableau is fraction-free.  Each row, the cost row included, is a
 list of ints plus one positive denominator, and stands for the rational
 row ints/den.  A pivot combines two rows by integer cross-multiplication
-and divides the result by the gcd of its entries and its denominator
-(fraction-free elimination in the style of Bareiss and Edmonds).  The
-ratio test cross-multiplies, and signs are read from the numerators, so
-every comparison is the one a Fraction tableau would make and the pivot
-sequence is the same.  Bland's rule makes the simplex terminate without
-perturbation; objective and solution come back as Fractions.  The
-independent Fourier-Motzkin oracle that cross-checks its feasibility
-verdicts lives in the test suite (tests/fm_oracle.py), not here.
+(fraction-free elimination in the style of Bareiss and Edmonds); a
+pivot entry of 1 leaves the denominator as it is.  A row is divided by
+the gcd of its entries and its denominator only once the denominator
+passes _REDUCE_BITS bits: reduction changes how a row is written, not
+the rational row it stands for.  The ratio test cross-multiplies, and
+signs are read from the numerators, so every comparison is the one a
+Fraction tableau would make and the pivot sequence is the same.
+Bland's rule makes the simplex terminate without perturbation; the
+artificial columns, last before the right-hand side, are sliced off
+every row after phase 1, so phase 2 eliminates over the others only.
+Objective and solution come back as Fractions.  The independent
+Fourier-Motzkin oracle that cross-checks its feasibility verdicts lives
+in the test suite (tests/fm_oracle.py), not here.
 
 Variables are implicitly nonnegative (all uses here are convex
 multipliers and scale factors).  Constraints are (coeffs, rel, rhs)
@@ -38,20 +43,33 @@ class LPResult:
     solution: list | None = None
 
 
+_REDUCE_BITS = 64  # rows are reduced by their gcd once den is longer
+
+
+def _reduced(ints, den):
+    """The (ints, den) pair divided by the gcd of all its entries."""
+    g = gcd(den, *ints)
+    if g > 1:
+        return [v // g for v in ints], den // g
+    return ints, den
+
+
 def _eliminate(row, den, src, col):
     """row/den minus the multiple of src/src[col] that zeroes column col.
 
     src[col] must be positive.  Returns the (ints, den) pair of the
-    result, reduced by its gcd.
+    result.  Entries where src is 0 are only scaled, a pivot entry of 1
+    leaves den as it is, and the pair is reduced by its gcd only once
+    den passes _REDUCE_BITS bits.
     """
     f = row[col]
     p = src[col]
-    new = [v * p - f * s for v, s in zip(row, src)]
+    if p == 1:
+        return [v - f * s if s else v for v, s in zip(row, src)], den
+    new = [v * p - f * s if s else v * p for v, s in zip(row, src)]
     den *= p
-    g = gcd(den, *new)
-    if g > 1:
-        new = [v // g for v in new]
-        den //= g
+    if den.bit_length() > _REDUCE_BITS:
+        return _reduced(new, den)
     return new, den
 
 
@@ -165,23 +183,20 @@ def solve_lp(objective, constraints, maximize: bool = False) -> LPResult:
         assert status == OPTIMAL  # phase 1 is bounded below by 0
         if cost[0][-1] != 0:
             return LPResult(INFEASIBLE)
-        # Pivot lingering zero-level artificials out, or drop empty rows.
-        art_set = set(art_cols)
+        # Pivot lingering zero-level artificials out, or drop empty rows;
+        # then slice the artificial columns off (they are the last ones).
+        ncols = art_cols[0]
         for r in range(len(rows) - 1, -1, -1):
-            if basis[r] in art_set:
-                pc = next(
-                    (j for j in range(ncols) if j not in art_set and rows[r][j]),
-                    None,
-                )
+            if basis[r] >= ncols:
+                row = rows[r]
+                pc = next((j for j in range(ncols) if row[j]), None)
                 if pc is None:
                     del rows[r]
                     del dens[r]
                     del basis[r]
                 else:
                     _pivot(rows, dens, basis, r, pc)
-        for row in rows:
-            for col in art_cols:
-                row[col] = 0
+        rows = [row[:ncols] + row[-1:] for row in rows]
 
     # Phase 2.
     cost = _price_out((obj + [0] * (ncols - nvars + 1), obj_den), rows, basis)

@@ -39,9 +39,9 @@ from troplab.circuits import (
     produced_set,
     strip_constants,
 )
-from troplab.errors import UsageError
+from troplab.errors import DegenerateCircuit, UsageError
 from troplab.families import SetFamily, boolean_function_of, similar
-from troplab.simplex import solve_lp
+from troplab.simplex import OPTIMAL, solve_lp
 
 H = Fraction(1, 2)
 
@@ -236,24 +236,55 @@ def _reference_combination_lp(target, gens, below, scaled):
                                                  maximize=scaled and below)
 
 
+def _dominates(u, v, below):
+    """u dominates v as a scale-LP column: u >= v (below) or u <= v."""
+    return u != v and all(x >= y if below else x <= y for x, y in zip(u, v))
+
+
 def test_combination_lp_columns_match_tuple_projection():
+    """Feasibility LPs equal the unpruned reference exactly.  Scale LPs
+    keep exactly the reference's undominated columns, in order, and reach
+    the reference's status and objective with a solution that is feasible
+    for the reference LP."""
     rng = random.Random(77)
+    pruned = 0
     for k in range(120):
         n = rng.randint(1, 6)
         table = sorted({
             tuple(_random_entry(rng, False, k % 2) for _ in range(n))
             for _ in range(rng.randint(1, 10))})
         width = (0, 1, n)[k % 3]
-        coords = set(rng.sample(range(n), width))
+        coords = sorted(rng.sample(range(n), width))
         target = tuple(_random_entry(rng, False, True) or 1 if i in coords else 0
                        for i in range(n))
         shuffled = list(table)
         rng.shuffle(shuffled)  # the first generator of each projection is kept
         for gens in (table, shuffled):
             for below in (True, False):
-                for scaled in (False, True):
-                    assert certify._combination_lp(target, gens, below, scaled) == \
-                        _reference_combination_lp(target, gens, below, scaled)
+                assert certify._combination_lp(target, gens, below, False) == \
+                    _reference_combination_lp(target, gens, below, False)
+
+                reps, result = certify._combination_lp(target, gens, below, True)
+                ref_reps, ref = _reference_combination_lp(target, gens, below, True)
+                assert (result.status, result.objective) == (ref.status, ref.objective)
+                project = {rep: tuple(rep[i] for i in coords) for rep in ref_reps}
+                undominated = [rep for rep in ref_reps if not any(
+                    _dominates(project[o], project[rep], below) for o in ref_reps)]
+                assert reps == undominated
+                for rep in set(ref_reps) - set(reps):
+                    assert any(_dominates(project[o], project[rep], below) for o in reps)
+                pruned += len(ref_reps) - len(reps)
+                if result.status != OPTIMAL:
+                    continue  # an empty target leaves t unbounded
+                # the pruned optimum, put on the reference's columns, is a
+                # feasible point of the reference LP with the same value
+                lam = dict(zip(reps, result.solution))
+                t = result.solution[-1]
+                assert t == result.objective and sum(lam.values()) == 1
+                for i in coords:
+                    comb = sum(lam.get(rep, 0) * rep[i] for rep in ref_reps)
+                    assert comb >= t * target[i] if below else comb <= t * target[i]
+    assert pruned > 100
 
 
 def test_fm_cross_check_counts_and_agrees():
@@ -563,3 +594,70 @@ def test_certify_strips_constants_internally(rng):
         stripped = strip_constants(c)
         assert certify_max(stripped, a, res.value).verdict
         assert certify_max(c, a, res.value).verdict
+
+
+def _random_problem_set(rng, b, sense):
+    """A random feasible set near the produced set b, or None if empty.
+
+    Half the draws are 0-1 antichains (the minimal ones among supports
+    of b and random supports); the rest shift vectors of b up (max),
+    sometimes on coordinates b never uses, or down inside their support
+    (min), and drop some.
+    """
+    n = b.n
+    if rng.random() < 0.5:
+        pool = [m for m in b.supports() if m and rng.random() < 0.7]
+        pool += [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 2))]
+        mins = {m for m in pool if not any(o != m and o & m == o for o in pool)}
+        vecs = [tuple((m >> i) & 1 for i in range(n)) for m in mins]
+    else:
+        vecs = []
+        for v in b:
+            if rng.random() < 0.2:
+                continue  # dropped: validity may fail
+            step = [rng.randint(0, 2) if rng.random() < 0.4 else 0 for _ in v]
+            if sense == "max":
+                vecs.append(tuple(x + s for x, s in zip(v, step)))
+            else:  # inside supp(v), so v stays admissible for the new vector
+                vecs.append(tuple(max(x - s, 1) if x else 0 for x, s in zip(v, step)))
+        vecs = [v for v in vecs if any(v)]
+    return VectorSet(n, vecs) if vecs else None
+
+
+def test_certify_verdict_matches_exact_factor_across_paths():
+    """certify_* (feasibility LPs over every column) holds at r iff
+    exact_factor (scale LPs over undominated columns) is rational and
+    r >= its value.  A is nonnegative, so t*a lies below conv(B) for
+    every t <= t*, and r*a lies above it for every r >= r*; the two
+    paths share no LP, so each checks the other at every size."""
+    rng = random.Random(1313)
+    eps = Fraction(1, 997)
+    seen = set()
+    for _ in range(300):
+        circuit, _ = random_tropical_circuit(rng, max_n=5, max_gates=8, max_produced=30)
+        sense = "max" if circuit.semiring == MAXPLUS else "min"
+        try:
+            core = strip_constants(circuit)
+        except DegenerateCircuit:
+            continue
+        a = _random_problem_set(rng, produced_set(core), sense)
+        if a is None:
+            continue
+        result = exact_factor(circuit, a, sense)
+        if result.status == "rational":
+            rs = [result.value - eps, result.value, result.value + eps]
+            if result.value > 1:
+                seen.add((sense, "above 1"))
+        else:
+            rs = [Fraction(1), Fraction(10**6)]
+        check = certify_max if sense == "max" else certify_min
+        for r in rs:
+            if r >= 1:
+                expected = result.status == "rational" and r >= result.value
+                assert check(circuit, a, r).verdict == expected, (circuit, a, r)
+        seen.add((sense, result.status, is_zero_one_antichain(a)))
+    assert {(s, "above 1") for s in ("max", "min")} <= seen
+    for s in ("max", "min"):
+        for status in ("rational", "invalid", "infinite"):
+            assert any(k[:2] == (s, status) for k in seen), (s, status, seen)
+    assert {("min", "rational", True), ("min", "rational", False)} <= seen

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fm_oracle import fm_feasible
+from troplab import simplex
 from troplab.errors import UsageError
 from troplab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
@@ -205,3 +206,128 @@ def test_degenerate_lp_keeps_its_bland_solution():
     assert r.solution == [0, 0, 4, 2]
     other = solve_lp([-1, -3, 0, -2], cons + [([0, 0, 1, 0], "<=", 0)])
     assert other.objective == -4  # x3 = 0 is optimal too
+
+
+def _fraction_simplex(objective, constraints, maximize=False):
+    """A plain-Fraction two-phase Bland tableau with solve_lp's layout.
+
+    Rows are normalized to a nonnegative right-hand side; columns are the
+    variables, one slack per inequality and one artificial per ">=" or
+    "==" row, in row order.  Entering is the lowest column with negative
+    reduced cost, leaving the least ratio with ties to the lowest basic
+    column; after phase 1, basic artificials are pivoted out on their
+    row's lowest nonzero column (last row first) or their row dropped,
+    and the artificial columns are deleted.
+    """
+    flip = {"<=": ">=", ">=": "<=", "==": "=="}
+    parsed = []
+    for coeffs, rel, rhs in constraints:
+        row = [Fraction(c) for c in [*coeffs, rhs]]
+        if row[-1] < 0:
+            row, rel = [-c for c in row], flip[rel]
+        parsed.append((row, rel))
+    nv = len(objective)
+    real = nv + sum(rel != "==" for _, rel in parsed)
+    width = real + sum(rel != "<=" for _, rel in parsed)
+    rows, basis = [], []
+    slack, art = nv, real
+    for row, rel in parsed:
+        t = row[:-1] + [Fraction(0)] * (width - nv) + row[-1:]
+        if rel != "==":
+            t[slack] = Fraction(1 if rel == "<=" else -1)
+            if rel == "<=":
+                basis.append(slack)
+            slack += 1
+        if rel != "<=":
+            t[art] = Fraction(1)
+            basis.append(art)
+            art += 1
+        rows.append(t)
+
+    def pivot(cost, r, c):
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [v - row[c] * w for v, w in zip(row, rows[r])]
+        basis[r] = c
+        return cost and [v - cost[c] * w for v, w in zip(cost, rows[r])]
+
+    def price_out(cost):
+        for r, b in enumerate(basis):
+            cost = [v - cost[b] * w for v, w in zip(cost, rows[r])]
+        return cost
+
+    def run(cost):
+        while True:
+            entering = next((j for j, v in enumerate(cost[:-1]) if v < 0), None)
+            if entering is None:
+                return OPTIMAL, cost
+            ratios = [(row[-1] / row[entering], basis[r], r)
+                      for r, row in enumerate(rows) if row[entering] > 0]
+            if not ratios:
+                return UNBOUNDED, cost
+            cost = pivot(cost, min(ratios)[2], entering)
+
+    if width > real:
+        _, cost = run(price_out([Fraction(int(j >= real)) for j in range(width)] + [0]))
+        if cost[-1]:
+            return INFEASIBLE, None, None
+        for r in range(len(rows) - 1, -1, -1):
+            if basis[r] >= real:
+                pc = next((j for j in range(real) if rows[r][j]), None)
+                if pc is None:
+                    del rows[r], basis[r]
+                else:
+                    pivot(None, r, pc)
+        rows[:] = [row[:real] + row[-1:] for row in rows]
+    sign = -1 if maximize else 1
+    cost = [sign * Fraction(c) for c in objective] + [Fraction(0)] * (real - nv + 1)
+    status, cost = run(price_out(cost))
+    if status == UNBOUNDED:
+        return UNBOUNDED, None, None
+    solution = [Fraction(0)] * nv
+    for r, b in enumerate(basis):
+        if b < nv:
+            solution[b] = rows[r][-1]
+    return OPTIMAL, -sign * cost[-1], solution
+
+
+def _big_lp(rng):
+    """A feasible, bounded LP whose fraction-free denominators pass
+    simplex._REDUCE_BITS: positive coefficients of up to 30 bits over
+    up to 20, rows through a positive point or off it on their side."""
+    def num():
+        return Fraction(rng.randint(1, 10**9), rng.randint(1, 10**6))
+
+    nv = 4
+    point = [num() for _ in range(nv)]
+    cons = []
+    for rel in ("<=", ">=", "<=", "==", ">=", "<="):
+        coeffs = [num() for _ in range(nv)]
+        at = sum(c * x for c, x in zip(coeffs, point))
+        slack = {"<=": num(), ">=": -num(), "==": 0}[rel]
+        cons.append((coeffs, rel, at + slack))
+    return [num() for _ in range(nv)], cons, True
+
+
+def test_kernel_matches_fraction_tableau(monkeypatch):
+    """Skipped multiplies, unit pivots, gcd reduction past the threshold
+    and the sliced artificial columns change only how rows are written:
+    status, objective and solution equal a plain Fraction tableau's."""
+    reductions = []
+    reduced = simplex._reduced
+    monkeypatch.setattr(simplex, "_reduced",
+                        lambda ints, den: reductions.append(den) or reduced(ints, den))
+    rng = random.Random(20240)
+    lps = [_random_lp(rng) for _ in range(500)]
+    big = random.Random(64)
+    lps += [_big_lp(big) for _ in range(20)]
+    seen = set()
+    for objective, cons, maximize in lps:
+        r = solve_lp(objective, cons, maximize=maximize)
+        assert (r.status, r.objective, r.solution) == \
+            _fraction_simplex(objective, cons, maximize)
+        seen.add(r.status)
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert reductions
+    assert all(den.bit_length() > simplex._REDUCE_BITS for den in reductions)
