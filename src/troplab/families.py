@@ -17,7 +17,7 @@ from math import comb
 from . import guards
 from .circuits import VectorSet
 from .errors import GuardExceeded, UsageError
-from .rationals import format_rational, parse_rational
+from .rationals import clear_denominators, format_rational, parse_rational
 
 def _mask_of(elements, n: int) -> int:
     mask = 0
@@ -138,27 +138,23 @@ class Weighting:
 
 
 def optimum(family: SetFamily, x, sense: str) -> Fraction:
-    """Exact optimum weight of a feasible solution, by enumeration."""
+    """Exact optimum weight of a feasible solution, by enumeration.
+
+    The weighting's denominators are cleared once (a float is converted
+    exactly, as greedy and evaluate do), so each member's weight is an
+    int sum and the optimum is one Fraction over the common denominator.
+    """
     if sense not in ("min", "max"):
         raise UsageError(f"sense must be 'min' or 'max', got {sense!r}")
     if not family.masks:
         raise UsageError("optimum of an empty family")
-    # exact, as greedy and evaluate are: a float is converted as it is
-    weights = [w if isinstance(w, (int, Fraction)) else Fraction(w) for w in x]
-    if len(weights) != family.n:
-        raise UsageError(f"weighting arity {len(weights)} != ground size {family.n}")
-    best = None
-    for member in family.members():
-        total = 0
-        for e in member:
-            total += weights[e - 1]
-        if best is None:
-            best = total
-        elif sense == "min":
-            best = total if total < best else best
-        else:
-            best = total if total > best else best
-    return Fraction(best)
+    nums, den = clear_denominators(list(x))
+    if len(nums) != family.n:
+        raise UsageError(f"weighting arity {len(nums)} != ground size {family.n}")
+    w = [0, *nums]  # w[e] = den * weight of element e
+    pick = min if sense == "min" else max
+    best = pick(sum(map(w.__getitem__, member)) for member in family.members())
+    return Fraction(best, den)
 
 
 # ---------------------------------------------------------------------------

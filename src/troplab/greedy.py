@@ -8,8 +8,11 @@ runs end exactly on a member, which is asserted.
 
 The oracles are bitmask scans: member_with[e] is the bitmask, over
 member indices, of the members containing e, so one big-int AND decides
-each accept/reject.  The wrong-strategy baseline (lightest first,
-opposite heuristic) is kept only as a negative control.
+each accept/reject.  A run clears the weighting's denominators once
+(floats are converted exactly): the scan order and the greedy value are
+taken on those ints, and the value is one Fraction over the common
+denominator.  The wrong-strategy baseline (lightest first, opposite
+heuristic) is kept only as a negative control.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from fractions import Fraction
 
 from .errors import InternalCheck, UsageError
 from .families import SetFamily, is_antichain, matroid_check, optimum, uniform_size
+from .rationals import clear_denominators
 
 
 @dataclass(frozen=True)
@@ -57,17 +61,13 @@ def _first_out(family: SetFamily, order):
     return kept
 
 
-def _finish(family, weights, sense, strategy, order, solution_mask) -> GreedyRun:
+def _finish(family, weights, w, den, sense, strategy, order, solution_mask) -> GreedyRun:
     if not family.has_member(solution_mask):
         raise InternalCheck("greedy did not end on a feasible solution")
-    value = Fraction(0)
-    e = 1
-    m = solution_mask
-    while m:
-        if m & 1:
-            value += Fraction(weights[e - 1])
-        m >>= 1
-        e += 1
+    solution = tuple(
+        e for e in range(1, family.n + 1) if solution_mask >> (e - 1) & 1
+    )
+    value = Fraction(sum(map(w.__getitem__, solution)), den)
     opt = optimum(family, weights, sense)
     if sense == "max":
         ratio = opt / value if value else Fraction(1)
@@ -75,9 +75,6 @@ def _finish(family, weights, sense, strategy, order, solution_mask) -> GreedyRun
         ratio = value / opt if opt else Fraction(1)
     if ratio < 1:
         raise InternalCheck("greedy beat the enumerated optimum")
-    solution = tuple(
-        e for e in range(1, family.n + 1) if solution_mask >> (e - 1) & 1
-    )
     return GreedyRun(sense, strategy, solution, value, opt, ratio, order)
 
 
@@ -89,11 +86,13 @@ def _run(family: SetFamily, x, sense: str, strategy: str) -> GreedyRun:
     weights = list(x)
     if len(weights) != family.n:
         raise UsageError("weighting arity mismatch")
+    nums, den = clear_denominators(weights)
+    w = [0, *nums]  # w[e] = den * weight of element e; den > 0 keeps the order
     heaviest = strategy == "heaviest-first"
-    sign = -1 if heaviest else 1  # ties go to the lower index either way
-    order = tuple(sorted(range(1, family.n + 1), key=lambda e: (sign * weights[e - 1], e)))
+    # sorted is stable, reverse included: ties go to the lower index either way
+    order = tuple(sorted(range(1, family.n + 1), key=w.__getitem__, reverse=heaviest))
     scan = _first_in if heaviest == (sense == "max") else _first_out
-    return _finish(family, weights, sense, strategy, order, scan(family, order))
+    return _finish(family, weights, w, den, sense, strategy, order, scan(family, order))
 
 
 def greedy_run(family: SetFamily, x, sense: str) -> GreedyRun:
@@ -131,7 +130,8 @@ def _structured_weightings(family: SetFamily, rng):
         b = rng.choice(members)
         if a == b:
             continue
-        keep = [e for e in a if e not in set(b)]
+        in_b = set(b)
+        keep = [e for e in a if e not in in_b]
         if not keep:
             continue
         d = rng.randint(1, len(keep))
@@ -181,14 +181,15 @@ def matroid_failure_witness(family: SetFamily, seed: int = 0):
     m = uniform_size(family)
     if check.witness is not None and m is not None:
         amem, bmem, a_elem = check.witness
-        q = len(set(bmem) - set(amem))
+        in_a = set(amem)
+        q = len(set(bmem) - in_a)
         c = Fraction(2 * q - 1, 2 * (q - 1)) if q > 1 else Fraction(2)
         w = [Fraction(0)] * family.n
         for e in amem:
             if e != a_elem:
                 w[e - 1] = c
         for e in bmem:
-            if e not in set(amem):
+            if e not in in_a:
                 w[e - 1] = Fraction(1)
         run = greedy_run(family, w, "max")
         if run.ratio > 1:

@@ -64,6 +64,31 @@ def test_optimum_is_exact_on_float_weights():
             assert greedy_run(fam, x, sense).optimum == exact
 
 
+def test_optimum_matches_fraction_reference_on_mixed_weights():
+    import random
+
+    rng = random.Random(1415)
+    fam = SetFamily(6, [(1, 2), (3, 4, 5), (2, 6), (1, 5), (4,)])
+    pools = (
+        lambda: rng.randint(0, 20),
+        lambda: Fraction(rng.randint(0, 60), rng.choice((3, 7, 11))),
+        lambda: rng.choice((0.1, 0.2, 0.3, 1e-3, rng.random() * 10)),
+    )
+    for trial in range(200):
+        x = [rng.choice(pools)() for _ in range(fam.n)]
+        for sense in ("min", "max"):
+            totals = []
+            for member in fam.members():
+                total = Fraction(0)
+                for e in member:
+                    total += Fraction(x[e - 1])
+                totals.append(total)
+            want = min(totals) if sense == "min" else max(totals)
+            got = optimum(fam, x, sense)
+            assert type(got) is Fraction and got == want, (x, sense)
+            assert optimum(fam, Weighting(x), sense) == want
+
+
 def test_optimum_guards():
     fam = SetFamily(2, [(1,)])
     with pytest.raises(UsageError):

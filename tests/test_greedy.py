@@ -13,6 +13,7 @@ from troplab.generators import (
     hypergraph_matchings,
 )
 from troplab.greedy import (
+    GreedyRun,
     greedy_factor_estimate,
     greedy_run,
     matroid_failure_witness,
@@ -137,3 +138,88 @@ def test_zero_weights_ratio_one():
     fam = star_family(3)
     assert greedy_run(fam, [0, 0, 0, 0], "max").ratio == 1
     assert greedy_run(fam, [0, 0, 0, 0], "min").ratio == 1
+
+
+def reference_run(family, x, sense, strategy):
+    """A greedy run in plain Fraction arithmetic, by set scans."""
+    weights = list(x)
+    n = family.n
+    heaviest = strategy == "heaviest-first"
+    sign = -1 if heaviest else 1
+    order = tuple(sorted(range(1, n + 1), key=lambda e: (sign * weights[e - 1], e)))
+    members = [set(m) for m in family.members()]
+    if heaviest == (sense == "max"):  # first-in
+        chosen = set()
+        for e in order:
+            if any(chosen | {e} <= m for m in members):
+                chosen.add(e)
+    else:  # first-out
+        chosen = set(range(1, n + 1))
+        for e in order:
+            if any(m <= chosen - {e} for m in members):
+                chosen.discard(e)
+    value = Fraction(0)
+    for e in sorted(chosen):
+        value += Fraction(weights[e - 1])
+    totals = []
+    for m in members:
+        total = Fraction(0)
+        for e in m:
+            total += Fraction(weights[e - 1])
+        totals.append(total)
+    opt = max(totals) if sense == "max" else min(totals)
+    if sense == "max":
+        ratio = opt / value if value else Fraction(1)
+    else:
+        ratio = value / opt if opt else Fraction(1)
+    return GreedyRun(sense, strategy, tuple(sorted(chosen)), value, opt, ratio, order)
+
+
+def random_antichain(rng, n, uniform):
+    if uniform:
+        k = rng.randint(1, n)
+        sets = [rng.sample(range(1, n + 1), k) for _ in range(rng.randint(1, 8))]
+        return SetFamily(n, sets)
+    masks = []
+    for _ in range(rng.randint(1, 12)):
+        m = rng.randint(1, (1 << n) - 1)
+        if all(m & o not in (m, o) for o in masks):
+            masks.append(m)
+    return SetFamily(n, masks)
+
+
+def random_weighting(rng, n, kind):
+    def entry(kind):
+        if kind == "int":
+            return rng.randint(0, 20)
+        if kind == "fraction":  # coprime denominators
+            return F(rng.randint(0, 60), rng.choice((3, 7, 11)))
+        if kind == "float":
+            return rng.choice((0.1, 0.2, 0.3, 0.30000000000000004, 1.5, rng.random() * 10))
+        return entry(rng.choice(("int", "fraction", "float")))
+
+    if kind == "zero":
+        return [rng.choice((0, F(0), 0.0)) for _ in range(n)]
+    if kind == "tied":  # few distinct values, so ties decide the order
+        pool = [entry(rng.choice(("int", "fraction", "float"))) for _ in range(2)]
+        return [rng.choice(pool) for _ in range(n)]
+    return [entry(kind) for _ in range(n)]
+
+
+def test_runs_match_fraction_reference():
+    import random
+
+    rng = random.Random(1414)
+    kinds = ("int", "fraction", "float", "mixed", "zero", "tied")
+    for trial in range(600):
+        uniform = trial // len(kinds) % 2 == 0  # every kind meets both shapes
+        family = random_antichain(rng, rng.randint(1, 8), uniform)
+        x = random_weighting(rng, family.n, kinds[trial % len(kinds)])
+        for sense in ("max", "min"):
+            for run, strategy in ((greedy_run, "heaviest-first"),
+                                  (wrong_strategy_run, "lightest-first")):
+                got = run(family, x, sense)
+                want = reference_run(family, x, sense, strategy)
+                assert got == want, (family.members(), x, sense, strategy)
+                assert repr(got) == repr(want)
+                assert all(type(v) is Fraction for v in (got.value, got.optimum, got.ratio))
