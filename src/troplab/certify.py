@@ -29,11 +29,16 @@ by bitmask: generators are nonnegative and den > 0, so u_num <= den * v
 at a coordinate where u_num > 0 forces v > 0 there, whatever the sign
 of u elsewhere; only generators whose support covers the target's
 positive support are compared entry by entry, and the first one that
-dominates is the one a full scan would find.  Every returned witness
+dominates is the one a full scan would find.  When the fast path
+misses, a feasibility LP meets a counting bound before the simplex
+(see _combination_lp): the target's sum over its support refutes the
+LP when no column's sum can reach it, and the all-ones weighting on
+that support is then the Farkas witness.  Every returned witness
 is re-verified by direct arithmetic; the test suite additionally
 replays small verdicts through an independent Fourier-Motzkin oracle.
 Each query clears its target's denominators and computes its support
-once, and the re-verification reuses both.
+once, and the re-verification reuses both; a query that reaches the
+counting bound clears them once more there.
 
 A generator set is a VectorSet: sorted, deduplicated, arity-checked
 nonnegative integer vectors that keep their support bitmasks
@@ -83,7 +88,7 @@ from . import guards
 from .errors import InternalCheck, UsageError
 from .families import SetFamily, boolean_function_of, cover_test, is_antichain, similar
 from .rationals import clear_denominators
-from .simplex import OPTIMAL, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, LPResult, solve_lp
 
 _ONE = Fraction(1)  # the multiplier of a pointwise certificate
 
@@ -217,6 +222,15 @@ def _combination_lp(target, gens, below, scaled):
     only.  A feasibility LP keeps every column, since its multipliers
     are the printed certificate.  Returns the column representatives and
     the LP result.
+
+    A feasibility LP first meets a counting bound.  Adding its support
+    rows with weight 1 says the target's sum over S = supp(target) is at
+    most (below) or at least (above) a convex combination of the column
+    sums over S.  So a target sum above the largest column sum (below
+    the smallest, for "above") refutes the LP without the simplex, with
+    the all-ones weighting on S as the Farkas witness, and the result is
+    the solver's infeasible one.  The sums are compared as ints, on the
+    target cleared to nums / den.
     """
     coords = [i for i, c in enumerate(target) if c]
     # itemgetter() raises and itemgetter(i) returns a scalar, not a tuple
@@ -226,6 +240,13 @@ def _combination_lp(target, gens, below, scaled):
     backwards = gens[::-1]
     reps = dict(zip(map(project, backwards), backwards))
     keys = _undominated(reps, below) if scaled else sorted(reps)
+    columns = [reps[key] for key in keys]
+    if not scaled:
+        nums, den = clear_denominators(target)
+        total = sum(nums)
+        if (total > den * max(map(sum, keys)) if below
+                else total < den * min(map(sum, keys))):
+            return columns, LPResult(INFEASIBLE)
     rel = ">=" if below else "<="
     constraints = []
     for row, coord in zip(zip(*keys), coords):
@@ -237,8 +258,7 @@ def _combination_lp(target, gens, below, scaled):
     extra = [0] if scaled else []
     constraints.append(([1] * len(keys) + extra, "==", 1))
     objective = [0] * len(keys) + ([1] if scaled else [])
-    result = solve_lp(objective, constraints, maximize=scaled and below)
-    return [reps[key] for key in keys], result
+    return columns, solve_lp(objective, constraints, maximize=scaled and below)
 
 
 def lp_feasible(query: DominanceQuery) -> Certificate:

@@ -76,21 +76,25 @@ def polynomial_design(spec: DesignSpec) -> SetFamily:
     The set of p is {(a, p(a)) : a in GF(m)}: one point per row.
     Polynomials are enumerated by coefficient vectors (constant term
     first) in lexicographic order over the canonical element order, so
-    output is byte-stable.
+    output is byte-stable.  Elements are handled by their codes (the
+    canonical order, zero is 0): the field's addition and multiplication
+    tables are built once from FieldElement arithmetic, and each p(a) is
+    evaluated by Horner's rule on those tables.
     """
-    field = spec.field
-    elements = field.elements()
+    elements = spec.field.elements()
     m = spec.m
+    add = [[(a + b).to_int() for b in elements] for a in elements]
+    mul = [[(a * b).to_int() for b in elements] for a in elements]
+    row_starts = [grid_index(spec, row, 0) for row in range(m)]
     sets = []
-    for coeffs in product(elements, repeat=spec.d):
+    for coeffs in product(range(m), repeat=spec.d):
+        high_first = coeffs[::-1]
         points = []
-        for row, a in enumerate(elements):
-            value = field.zero
-            power = field.one
-            for c in coeffs:
-                value = value + c * power
-                power = power * a
-            points.append(grid_index(spec, row, value.to_int()))
+        for start, times_a in zip(row_starts, mul):
+            value = 0
+            for c in high_first:
+                value = add[times_a[value]][c]
+            points.append(start + value)
         sets.append(tuple(points))
     family = SetFamily(spec.ground_size, sets)
     if len(family) != m**spec.d:

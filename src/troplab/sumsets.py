@@ -12,8 +12,11 @@ the circuit backwards from the output exactly as that argument does and
 re-verifies the returned split.
 
 Residue computation is meant for constant-free circuits with 0-1 or
-small-integer produced sets; it is quadratic in |B|*|pr(v)| per node,
-which is fine at the scale of everything in this repository.
+small-integer produced sets.  Its candidate scan visits |B|*|pr(v)|
+pairs per node, but a pair costs one support-mask test unless
+supp(x) lies inside supp(b); only those pairs compare entries, and the
+translate check then costs |pr(v)| lookups per candidate.  That is fine
+at the scale of everything in this repository.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log2
+from operator import add, ge, sub
 
 from .circuits import (
     Add,
@@ -29,6 +33,7 @@ from .circuits import (
     Var,
     VectorSet,
     produced_node_sets,
+    support,
 )
 from .errors import InternalCheck, UsageError
 from .families import SetFamily
@@ -64,25 +69,27 @@ def residues(circuit: Circuit) -> list[GateSumset]:
     """Sumset pr(v) + res(v) for every node, input nodes included.
 
     res(v) = {y : pr(v) + y inside B}; candidates are differences b - x
-    over b in B, x in pr(v), then filtered by translating all of pr(v).
-    The defining containment pr(v) + res(v) inside B is asserted.
+    over b in B, x in pr(v) with b >= x, then filtered by translating
+    all of pr(v).  Produced vectors are nonnegative, so b >= x needs
+    supp(x) inside supp(b): a mask test discards most pairs before any
+    entry is compared.  The defining containment pr(v) + res(v) inside B
+    is asserted.
     """
     per_node = produced_node_sets(circuit)
     b_set = per_node[circuit.output]
+    b_masks = [(b, support(b)) for b in b_set]
     out = []
     for nid, _ in circuit.nodes:
         x_set = per_node[nid]
         candidates = set()
-        for b in b_set:
-            for x in x_set:
-                if all(bi >= xi for bi, xi in zip(b, x)):
-                    candidates.add(tuple(bi - xi for bi, xi in zip(b, x)))
+        for x in x_set:
+            mx = support(x)
+            for b, mb in b_masks:
+                if mx & mb == mx and all(map(ge, b, x)):
+                    candidates.add(_vec_sub(b, x))
         keep = [
-            y
-            for y in candidates
-            if all(
-                tuple(xi + yi for xi, yi in zip(x, y)) in b_set for x in x_set
-            )
+            y for y in candidates
+            if all(_vec_add(x, y) in b_set for x in x_set)
         ]
         out.append(
             GateSumset(nid, VectorSet(circuit.n, x_set), VectorSet(circuit.n, keep))
@@ -94,11 +101,11 @@ def residues(circuit: Circuit) -> list[GateSumset]:
 
 
 def _vec_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(map(add, x, y))
 
 
 def _vec_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(map(sub, x, y))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Certifier: dominance queries, factor certification, semantic degree."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from troplab.circuits import (
     evaluate,
     produced_set,
     strip_constants,
+    support,
 )
 from troplab.errors import DegenerateCircuit, UsageError
 from troplab.families import SetFamily, boolean_function_of, similar
@@ -285,6 +287,89 @@ def test_combination_lp_columns_match_tuple_projection():
                     comb = sum(lam.get(rep, 0) * rep[i] for rep in ref_reps)
                     assert comb >= t * target[i] if below else comb <= t * target[i]
     assert pruned > 100
+
+
+def _lp_columns(query):
+    """The generators lp_feasible hands its LP when the fast path misses."""
+    vs, umask = query.generators, support(query.target)
+    if query.tight:
+        return list(vs.with_support(umask))
+    if query.direction == "below":
+        return vs.sorted_vectors()
+    return [v for v, m in vs.masks.items() if m | umask == umask]
+
+
+def _counting_bound_queries(rng):
+    """(target, generators, direction, tight, target kind) per query.
+
+    Boundary cases first, where the target sum meets the bound, then
+    random queries with int, Fraction and mixed-sign targets, each in
+    both directions.  At most 6 generators on 5 coordinates: on 7 to 10,
+    elimination can run for over a minute on one query.
+    """
+    yield (1, 1), ((2, 0), (0, 2)), "below", False, "int"  # sum 2 = max 2, feasible
+    yield (1, 1), ((2, 0), (0, 2)), "above", False, "int"  # sum 2 = min 2, feasible
+    yield (H, H), ((1, 0), (0, 1)), "below", False, "fraction"  # 2/2 = max 1, feasible
+    yield (1, 1), ((0, 0), (2, 0), (0, 2)), "below", False, "int"  # min 0 < 2 <= max
+    yield (1, 1), ((2, 0), (0, 2), (2, 2)), "above", False, "int"  # min 2 <= 2 < max
+    yield (5, -1), ((1, 1), (2, 0)), "below", False, "negative"  # 4 > max 2
+    for k in range(300):
+        n = rng.randint(1, 5)
+        gens = tuple(tuple(rng.randint(0, 4) for _ in range(n))
+                     for _ in range(rng.randint(1, 6)))
+        kind = ("int", "fraction", "negative")[k % 3]
+        if kind == "int":
+            target = tuple(rng.randint(0, 4) for _ in range(n))
+        elif kind == "fraction":
+            target = tuple(Fraction(rng.randint(0, 9), rng.randint(1, 3)) for _ in range(n))
+        else:
+            target = [Fraction(rng.randint(-2, 6), rng.randint(1, 2)) for _ in range(n)]
+            target[rng.randrange(n)] = -rng.randint(1, 3)
+            target = tuple(target)
+        tight = rng.random() < 0.2
+        for direction in ("below", "above"):
+            yield target, gens, direction, tight, kind
+
+
+def test_counting_bound_refutes_without_the_simplex(monkeypatch):
+    """A target whose sum over its support exceeds every column's (below)
+    or falls short of every column's (above) is refuted before the
+    simplex.  Every verdict equals solve_lp's on the same columns and,
+    up to 12 generators, the Fourier-Motzkin oracle's; a spy on the
+    simplex binding shows which refutations never reached it."""
+    solve = certify.solve_lp
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "solve_lp", spy)
+    refuted, by_simplex, feasible = Counter(), Counter(), Counter()
+    with fm_cross_check() as stats:
+        for target, gens, direction, tight, kind in _counting_bound_queries(
+                random.Random(1616)):
+            query = DominanceQuery(target, gens, direction, tight)
+            before = len(calls)
+            cert = certify.lp_feasible(query)
+            columns = _lp_columns(query)
+            _, ref = _reference_combination_lp(
+                target, columns, direction == "below", False) if columns else (None, None)
+            assert cert.feasible == (ref is not None and ref.status == OPTIMAL), query
+            if cert.feasible:
+                feasible[direction] += 1
+            elif cert.note == "":
+                assert cert == Certificate(False, target, direction)
+                if len(calls) == before:
+                    refuted[direction, kind] += 1
+                else:
+                    by_simplex[direction] += 1
+        assert stats["checked"] > 500
+    assert all(refuted[d, kind] for d in ("below", "above")
+               for kind in ("int", "fraction", "negative")), refuted
+    assert sum(refuted.values()) > 150
+    assert min(by_simplex["below"], by_simplex["above"]) > 20
+    assert min(feasible["below"], feasible["above"]) > 50
 
 
 def test_fm_cross_check_counts_and_agrees():

@@ -1,5 +1,7 @@
 """Explicit family constructors against their stated combinatorics."""
 
+from itertools import product
+
 import pytest
 
 from troplab.errors import GuardExceeded, UsageError
@@ -24,6 +26,7 @@ from troplab.generators import (
     sidon_cubic,
     uniform_complement,
 )
+from troplab.families import SetFamily
 from troplab.gf import Field
 
 
@@ -46,6 +49,41 @@ def test_design_degree_formula(m, d):
     fam = polynomial_design(DesignSpec(m, d))
     for l in range(d + 1):
         assert design_degree(fam, l) == m ** (d - l)
+
+
+def _reference_design(spec):
+    """The design's members by FieldElement Horner evaluation, one point per row."""
+    field = spec.field
+    elements = field.elements()
+    members = []
+    for coeffs in product(elements, repeat=spec.d):
+        points = []
+        for row, a in enumerate(elements):
+            value = field.zero
+            for c in reversed(coeffs):
+                value = value * a + c
+            points.append(grid_index(spec, row, value.to_int()))
+        members.append(tuple(points))
+    return members
+
+
+@pytest.mark.parametrize("m,d", [
+    (m, d) for m in range(2, 10) for d in range(1, min(m, 3) + 1) if m**d <= 20_000])
+def test_design_matches_field_element_horner(m, d):
+    """The int-table design equals FieldElement arithmetic, member for
+    member and in order, on every field order up to 9; 6 stays an error."""
+    if m == 6:
+        with pytest.raises(UsageError, match="not a supported prime power"):
+            polynomial_design(DesignSpec(m, d))
+        return
+    spec = DesignSpec(m, d)
+    reference = _reference_design(spec)
+    fam = polynomial_design(spec)
+    assert len(reference) == len(fam) == m**d
+    expected = SetFamily(spec.ground_size, reference)
+    assert fam.masks == expected.masks
+    assert fam.members() == expected.members()
+    assert sorted(fam.members()) == sorted(reference)
 
 
 def test_same_row_points_in_no_design_set():

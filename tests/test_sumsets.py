@@ -6,18 +6,20 @@ from fractions import Fraction
 import pytest
 
 from conftest import norm_axioms_hold
-from troplab.builders import selection_circuit
+from troplab.builders import bellman_ford_circuit, design_approximator, selection_circuit
 from troplab.circuits import (
     MINKOWSKI,
+    MINPLUS,
     Add,
     Circuit,
     Const,
     Mul,
     Var,
+    produced_node_sets,
     produced_set,
 )
 from troplab.errors import UsageError
-from troplab.generators import graham_sloane_matroid
+from troplab.generators import DesignSpec, graham_sloane_matroid
 from troplab.families import SetFamily
 from troplab.sumsets import (
     NormMeasure,
@@ -68,6 +70,47 @@ def test_residue_containment_property(rng):
             for x in gs.produced:
                 for y in gs.residue:
                     assert tuple(xi + yi for xi, yi in zip(x, y)) in b
+
+
+def _reference_residues(circuit):
+    """(node id, pr(v), res(v)) per node by the plain all-pairs tuple loop."""
+    per_node = produced_node_sets(circuit)
+    b_set = per_node[circuit.output]
+    out = []
+    for nid, _ in circuit.nodes:
+        x_set = per_node[nid]
+        candidates = set()
+        for b in b_set:
+            for x in x_set:
+                if all(bi >= xi for bi, xi in zip(b, x)):
+                    candidates.add(tuple(bi - xi for bi, xi in zip(b, x)))
+        keep = frozenset(
+            y for y in candidates
+            if all(tuple(xi + yi for xi, yi in zip(x, y)) in b_set for x in x_set)
+        )
+        out.append((nid, x_set, keep))
+    return out
+
+
+def test_residues_match_all_pairs_reference():
+    """The mask-filtered residues equal the all-pairs loop node by node:
+    soundness and completeness, on random circuits with entries above 1
+    and on the builders' circuits."""
+    rng = random.Random(5150)
+    corpus = [random_minkowski_circuit(rng) for _ in range(40)]
+    corpus += [
+        selection_circuit(8, 3),
+        design_approximator(DesignSpec(4, 2)),
+        bellman_ford_circuit(5, 1, 2, MINPLUS),
+    ]
+    nonempty = above_one = 0
+    for circuit in corpus:
+        got = [(gs.node_id, gs.produced.vectors, gs.residue.vectors)
+               for gs in residues(circuit)]
+        assert got == _reference_residues(circuit)
+        nonempty += sum(1 for _, _, res in got if res)
+        above_one += sum(1 for _, _, res in got for y in res if max(y) > 1)
+    assert nonempty > 100 and above_one > 50
 
 
 def test_decompose_chain_window():
