@@ -15,6 +15,12 @@ formal degree of every node, so no digit ever carries.  A union gate
 is then a set union and a sum gate a set of int additions; vectors are
 unpacked into tuples only when a produced set is returned.
 
+produced_set keeps a gate's set only until the last gate that reads it
+has run, so its memory follows the sets still to be read, not the whole
+DP table; produced_node_sets keeps every node's set.  The
+produced_vectors guard bounds each gate's set, not the total of the
+sets alive at once.
+
 produced_set caches the output's set on the circuit, next to the final
 set size of every Add/Mul gate in node order.  A cache hit runs the
 guard again on those sizes, so a later, lower produced_vectors limit
@@ -372,27 +378,44 @@ def _check_cap(size, cap, gate):
         raise GuardExceeded(f"produced set exceeds {cap} vectors at gate {gate}")
 
 
-def _packed_node_sets(c: Circuit):
-    """Digit width and the packed produced set of every node.
+def _packed_node_sets(c: Circuit, keep):
+    """Digit width, the packed sets of the nodes in keep, and gate sizes.
 
     A vector v is packed into the int sum of v[i] << (width * i).  No
     entry at a node exceeds the node's formal degree, and 2**width
     exceeds the largest degree of any node, reachable from the output or
     not, so digits never carry: a union gate is a set union and a sum
     gate adds ints.
+
+    Every node is computed and guarded in node order.  A node's set is
+    dropped once the last gate that reads it has run, or at once if no
+    gate reads it, unless the node is in keep; so the sets alive at any
+    time are those still to be read and those kept.  The sizes are
+    (node id, final set size) of every Add/Mul gate in node order.
     """
     c.require_valid()
     cap = guards.current().produced_vectors
     width = max(_node_degrees(c).values()).bit_length()
+    last_reader = {}
+    for nid, node in c.nodes:
+        last_reader[nid] = nid  # a node no gate reads is its own last reader
+        if isinstance(node, (Add, Mul)):
+            last_reader[node.left] = last_reader[node.right] = nid
+    drop = {}
+    for nid, reader in last_reader.items():
+        if nid not in keep:
+            drop.setdefault(reader, []).append(nid)
     sets = {}
+    sizes = []
     for nid, node in c.nodes:
         if isinstance(node, Var):
             sets[nid] = {1 << width * (node.index - 1)}
         elif isinstance(node, Const):
             sets[nid] = {0}
         elif isinstance(node, Add):
-            sets[nid] = sets[node.left] | sets[node.right]
-            _check_cap(len(sets[nid]), cap, nid)
+            out = sets[nid] = sets[node.left] | sets[node.right]
+            _check_cap(len(out), cap, nid)
+            sizes.append((nid, len(out)))
         else:
             left, right = sets[node.left], sets[node.right]
             if len(left) > len(right):
@@ -401,7 +424,10 @@ def _packed_node_sets(c: Circuit):
             for u in left:
                 out.update(map(u.__add__, right))
                 _check_cap(len(out), cap, nid)
-    return width, sets
+            sizes.append((nid, len(out)))
+        for dead in drop.get(nid, ()):
+            del sets[dead]
+    return width, sets, tuple(sizes)
 
 
 def _unpack(packed, n: int, width: int):
@@ -413,7 +439,7 @@ def _unpack(packed, n: int, width: int):
 
 def produced_node_sets(c: Circuit):
     """Set of produced vectors at every node, keyed by node id."""
-    width, sets = _packed_node_sets(c)
+    width, sets, _ = _packed_node_sets(c, c._by_id)
     return {nid: frozenset(_unpack(packed, c.n, width))
             for nid, packed in sets.items()}
 
@@ -427,10 +453,8 @@ def produced_set(c: Circuit) -> VectorSet:
     """
     cached = c._produced
     if cached is None:
-        width, sets = _packed_node_sets(c)
+        width, sets, sizes = _packed_node_sets(c, (c.output,))
         out = VectorSet._of_checked(c.n, frozenset(_unpack(sets[c.output], c.n, width)))
-        sizes = tuple((nid, len(sets[nid])) for nid, node in c.nodes
-                      if isinstance(node, (Add, Mul)))
         cached = c._produced = (out, sizes)
     else:
         cap = guards.current().produced_vectors

@@ -91,9 +91,10 @@ def residues(circuit: Circuit) -> list[GateSumset]:
             y for y in candidates
             if all(_vec_add(x, y) in b_set for x in x_set)
         ]
-        out.append(
-            GateSumset(nid, VectorSet(circuit.n, x_set), VectorSet(circuit.n, keep))
-        )
+        # both sides are already checked: produced vectors, and
+        # differences b - x with b >= x of produced vectors
+        out.append(GateSumset(nid, VectorSet._of_checked(circuit.n, x_set),
+                              VectorSet._of_checked(circuit.n, frozenset(keep))))
     for gs in out:
         if gs.node_id == circuit.output and gs.residue.vectors != {(0,) * circuit.n}:
             raise InternalCheck("output residue must be exactly the zero vector")

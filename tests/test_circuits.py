@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     tropical_value_oracle,
 )
 from troplab import circuits, guards
+from troplab.builders import bellman_ford_circuit
 from troplab.circuits import (
     ARITHMETIC,
     BOOLEAN,
@@ -263,9 +265,16 @@ def _reference_node_sets(c: Circuit):
 
 
 def _assert_matches_reference(c: Circuit):
+    """Every result equals the tuple reference, which keeps every node's set
+    to the end: the produced sets, the gate sizes cached with the output's
+    set, and the packed sets returned, which are those of the nodes kept."""
     want = _reference_node_sets(c)
     assert produced_node_sets(c) == want
     assert produced_set(c) == VectorSet(c.n, want[c.output])
+    assert c._produced[1] == tuple(
+        (nid, len(want[nid])) for nid, node in c.nodes if isinstance(node, (Add, Mul)))
+    for keep in ({c.output}, {nid for nid, _ in c.nodes[::2]}, set()):
+        assert set(circuits._packed_node_sets(c, keep)[1]) == keep
 
 
 def test_produced_sets_match_tuple_reference(rng):
@@ -333,12 +342,85 @@ def test_failed_produced_set_caches_nothing():
     assert len(produced_set(c)) == 9
 
 
+def _assert_guard_matches_reference(c: Circuit, caps):
+    hits = 0
+    for cap in caps:
+        with guards.limits(produced_vectors=cap):
+            try:
+                _reference_node_sets(c)
+            except GuardExceeded as want:
+                hits += 1
+                fresh = Circuit(c.semiring, c.n, c.nodes, c.output)
+                with pytest.raises(GuardExceeded, match=f"^{re.escape(str(want))}$"):
+                    produced_set(fresh)
+                assert fresh._produced is None
+                with pytest.raises(GuardExceeded, match=f"^{re.escape(str(want))}$"):
+                    produced_node_sets(fresh)
+            else:
+                _assert_matches_reference(c)
+    return hits
+
+
+def test_dropped_sets_keep_every_result_and_guard():
+    """Sets dropped after their last reader change no result, size or guard."""
+    v = [("v1", Var(1)), ("v2", Var(2)), ("v3", Var(3))]
+    # the output m is read by a later gate, g, which nothing reads
+    read_output = _c(MINKOWSKI, 3, [*v, ("a", Add("v1", "v2")), ("m", Mul("a", "v3")),
+                                    ("g", Mul("m", "a"))], "m")
+    # a gate reading one node twice: Add(u, u) and Mul(u, u)
+    same_twice = _c(MINKOWSKI, 3, [*v, ("u", Add("v1", "v2")), ("s", Add("u", "u")),
+                                   ("p", Mul("u", "u")), ("q", Mul("s", "p")),
+                                   ("r", Mul("q", "v3"))], "r")
+    # one hub read by many gates, the last of them at the end
+    hub = [*v, ("h", Add("v1", "v2"))]
+    prev = "h"
+    for i, x in enumerate(("v1", "v2", "v3", "h", "v3", "h")):
+        hub += [(f"m{i}", Mul("h", x)), (f"a{i}", Add(prev, f"m{i}"))]
+        prev = f"a{i}"
+    many_readers = _c(MINKOWSKI, 3, [*hub, ("out", Mul(prev, "h"))], "out")
+    # a doubling chain no path from the output reaches: 2, 3, 5, 9, 17 and
+    # 33 vectors at u, d0..d4, each read once and never by the output
+    far = [*v, ("o", Mul("v1", "v3")), ("u", Add("v1", "v2"))]
+    prev = "u"
+    for i in range(5):
+        far.append((f"d{i}", Mul(prev, prev)))
+        prev = f"d{i}"
+    unreachable = _c(MINKOWSKI, 3, [*far, ("out", Add("o", "v2"))], "out")
+    for c in (read_output, same_twice, many_readers, unreachable):
+        _assert_matches_reference(c)
+    assert _assert_guard_matches_reference(unreachable, range(1, 34)) == 32
+    with guards.limits(produced_vectors=16), pytest.raises(GuardExceeded) as err:
+        produced_set(unreachable)
+    assert str(err.value) == "produced set exceeds 16 vectors at gate d3"
+    assert sum(_assert_guard_matches_reference(c, range(1, 12))
+               for c in (read_output, same_twice, many_readers)) > 10
+
+
+def test_produced_set_peak_memory_follows_live_sets():
+    """A set is dropped after its last reader, so the boolean Bellman-Ford
+    DP on K7 (2,476 output vectors) peaks at about 0.9 MiB of traced
+    memory; keeping every gate's set to the end peaks at about 6.1 MiB."""
+    c = bellman_ford_circuit(7, 1, 2)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(produced_set(c)) == 2476
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
 def test_packed_width_edge_cases():
     # (x1 + x2)^3: degree 3 = 2**2 - 1, so entries fill a whole 2-bit digit
     cube = _c(MINKOWSKI, 3, [("v1", Var(1)), ("v2", Var(2)), ("v3", Var(3)),
                              ("u", Add("v1", "v2")), ("u2", Mul("u", "u")),
                              ("u3", Mul("u2", "u"))], "u3")
-    assert circuits._packed_node_sets(cube)[0] == 2
+    assert circuits._packed_node_sets(cube, {"u3"})[0] == 2
     assert produced_set(cube).sorted_vectors() == [
         (0, 3, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0)]
     _assert_matches_reference(cube)

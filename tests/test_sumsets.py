@@ -15,6 +15,7 @@ from troplab.circuits import (
     Const,
     Mul,
     Var,
+    VectorSet,
     produced_node_sets,
     produced_set,
 )
@@ -111,6 +112,20 @@ def test_residues_match_all_pairs_reference():
         nonempty += sum(1 for _, _, res in got if res)
         above_one += sum(1 for _, _, res in got for y in res if max(y) > 1)
     assert nonempty > 100 and above_one > 50
+
+
+def test_residue_sets_pass_the_vector_set_checks():
+    """residues wraps its sets without re-checking them; a checked
+    VectorSet of the same vectors is equal, and every entry is an int."""
+    rng = random.Random(5151)
+    corpus = [random_minkowski_circuit(rng) for _ in range(20)]
+    corpus += [selection_circuit(6, 3), bellman_ford_circuit(5, 1, 2, MINPLUS)]
+    for circuit in corpus:
+        for gs in residues(circuit):
+            for vs in (gs.produced, gs.residue):
+                assert type(vs.vectors) is frozenset
+                assert VectorSet(circuit.n, vs.vectors) == vs
+                assert all(type(c) is int for v in vs for c in v)
 
 
 def test_decompose_chain_window():
