@@ -1,5 +1,6 @@
 """CLI surface: subcommands, file round trips, exit codes, determinism."""
 
+import argparse
 from fractions import Fraction
 from pathlib import Path
 
@@ -191,8 +192,8 @@ GOLDEN = Path(__file__).parent / "golden" / "cli_transcript.txt"
 def test_cli_output_matches_golden_transcript(tmp_path, capsys, monkeypatch):
     """Exact stdout, certificate multipliers included, of each
     `$ troplab ...` command in the transcript, run on the design (3,2),
-    Bellman-Ford K4, spanning-tree K4, selection (4,2) and README star
-    inputs."""
+    Bellman-Ford K4, spanning-tree K4, selection (4,2), README star,
+    invalid, constant-carrying and Minkowski chain inputs."""
     monkeypatch.chdir(tmp_path)
     run_cli(capsys, "gen", "design", "--m", "3", "--d", "2", "-o", "F.fam")
     run_cli(capsys, "build", "design-approx", "--m", "3", "--d", "2", "-o", "a.ckt")
@@ -207,11 +208,42 @@ def test_cli_output_matches_golden_transcript(tmp_path, capsys, monkeypatch):
     (tmp_path / "U.fam").write_text("family vars=4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
     (tmp_path / "star.fam").write_text("family vars=4\n1\n2 3 4\n")
     (tmp_path / "sw.txt").write_text("weights vars=4\n20/19\n1\n1\n1\n")
+    (tmp_path / "bad.ckt").write_text("circuit minplus vars=1\ng1 = add v9 v9\noutput g1\n")
+    (tmp_path / "k.ckt").write_text(
+        "circuit minplus vars=3\nv1 = var 1\nv2 = var 2\nk1 = const 5/2\n"
+        "g1 = mul v1 k1\ng2 = add g1 v2\ng3 = mul g2 v1\noutput g3\n"
+    )
+    (tmp_path / "chain.ckt").write_text(
+        "circuit minkowski vars=4\n"
+        "v1 = var 1\nv2 = var 2\nv3 = var 3\nv4 = var 4\n"
+        "g1 = mul v1 v2\ng2 = mul g1 v3\ng3 = mul g2 v4\noutput g3\n"
+    )
     commands = GOLDEN.read_text().split("$ troplab ")[1:]
-    assert len(commands) == 17
+    assert len(commands) == 51
     for chunk in commands:
         command, expected = chunk.split("\n", 1)
         assert run_cli(capsys, *command.split())[:2] == (0, expected), command
+
+
+def _command_paths(parser, prefix=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [prefix]
+    return [path for name, sub in subs[0].choices.items()
+            for path in _command_paths(sub, prefix + (name,))]
+
+
+def test_golden_transcript_runs_every_subcommand():
+    invoked = []
+    for chunk in GOLDEN.read_text().split("$ troplab ")[1:]:
+        words = chunk.split("\n", 1)[0].split()
+        while words[0].startswith("-"):  # top-level options, each with a value
+            words = words[2:]
+        invoked.append(tuple(words))
+    paths = _command_paths(cli._build_parser())
+    assert len(paths) == 26
+    missing = [p for p in paths if not any(w[:len(p)] == p for w in invoked)]
+    assert not missing
 
 
 def test_report_hierarchy_certifies_each_row_once(capsys, monkeypatch):
