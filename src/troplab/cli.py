@@ -1,5 +1,15 @@
 """Command-line entry point wiring all modules together.
 
+Each subcommand is one row of the command table (`_commands`): its path,
+help text, arguments and handler. Arguments are loaded by their argparse
+`type=` converters (`_circuit`, `_problem`, `_family`, `_weights`,
+`parse_rational`, `_int_vector`), so a handler receives circuits,
+families and rationals, never paths or strings; a converter's
+UsageError reaches `main` like a handler's. `build` and `gen` name the
+options each kind needs. Commands that print checked rows (`bound`,
+`audit`, `report`) run through `_rows`, which turns a failing row into
+InternalCheck.
+
 Exit codes: 0 = verdict computed (including "false" verdicts),
 1 = usage error, 2 = resource guard, 3 = internal invariant failure.
 All randomness is seeded through --seed; reports print exact rationals,
@@ -51,16 +61,31 @@ def _read(path: str) -> str:
 def _write(path: str | None, text: str):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_circuit(path: str):
+# ---------------------------------------------------------------------------
+# Argument loaders (argparse `type=` converters)
+
+
+def _circuit(path: str):
     return parse_circuit(_read(path))
 
 
-def _load_problem_vectors(path: str) -> VectorSet:
+def _family(path: str) -> SetFamily:
+    return parse_family(_read(path))
+
+
+def _weights(path: str):
+    return parse_weighting(_read(path))
+
+
+def _problem(path: str) -> VectorSet:
     """Family files become characteristic vectors; vector files load as-is."""
     text = _read(path)
     head = text.lstrip().split(None, 1)[0] if text.strip() else ""
@@ -71,9 +96,15 @@ def _load_problem_vectors(path: str) -> VectorSet:
     raise UsageError(f"{path}: expected a family or vectors file")
 
 
-def _parse_int_vector(text: str):
-    seps = text.replace(",", " ").split()
-    return tuple(int(tok) for tok in seps)
+def _int_vector(text: str) -> tuple:
+    try:
+        return tuple(int(tok) for tok in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise UsageError(f"malformed integer vector {text!r}") from exc
+
+
+def _star_or_family(text: str):
+    return text if text == "star" else _family(text)
 
 
 class _Report:
@@ -98,80 +129,94 @@ class _Report:
         print(f"{name}: {self.fmt(value)}{suffix}")
 
 
+def _rows(print_rows):
+    """Handler running `print_rows(args, report)`; a failing row exits 3."""
+
+    def handler(args):
+        report = _Report(args.decimal)
+        print_rows(args, report)
+        if report.failed:
+            raise InternalCheck(f"{args.path} has failing rows")
+
+    return handler
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
 
-def _cmd_build(args) -> int:
-    if args.kind == "sel":
-        c = builders.selection_circuit(args.n, args.k)
-    elif args.kind == "design-approx":
-        c = builders.design_approximator(DesignSpec(args.m, args.d))
-    elif args.kind == "sidon-approx":
-        c = builders.sidon_approximator(args.m)
-    elif args.kind == "bf":
-        tag = MINPLUS if args.minplus else BOOLEAN
-        c = builders.bellman_ford_circuit(args.n, args.s, args.t, tag)
-    elif args.kind == "fw":
-        c = builders.floyd_warshall_circuit(args.n, args.s, args.t)
+def _made(kinds: dict, args):
+    """Make `args.kind` from `kinds` (kind -> (needed options, maker))."""
+    needs, make = kinds[args.kind]
+    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"{args.path} {args.kind} needs {', '.join(missing)}")
+    return make(args)
+
+
+_BUILDS = {
+    "sel": (("n", "k"), lambda a: builders.selection_circuit(a.n, a.k)),
+    "design-approx": (("m", "d"),
+                      lambda a: builders.design_approximator(DesignSpec(a.m, a.d))),
+    "sidon-approx": (("m",), lambda a: builders.sidon_approximator(a.m)),
+    "bf": (("n",), lambda a: builders.bellman_ford_circuit(
+        a.n, a.s, a.t, MINPLUS if a.minplus else BOOLEAN)),
+    "fw": (("n",), lambda a: builders.floyd_warshall_circuit(a.n, a.s, a.t)),
+    "st-conn": (("n",), lambda a: builders.spanning_tree_boolean(a.n)),
+}
+
+
+def _cmd_build(args):
+    _write(args.output, serialize_circuit(_made(_BUILDS, args)))
+
+
+def _graham(args) -> SetFamily:
+    if args.l is None:
+        _, fam = generators.graham_sloane_best(args.n, args.m)
     else:
-        c = builders.spanning_tree_boolean(args.n)
-    _write(args.output, serialize_circuit(c))
-    return 0
+        fam = generators.graham_sloane(args.n, args.m, args.l)
+    return generators.uniform_complement(fam, args.m) if args.complement else fam
 
 
-def _cmd_gen(args) -> int:
-    if args.kind == "design":
-        fam = generators.polynomial_design(DesignSpec(args.m, args.d))
-    elif args.kind == "graham":
-        if args.l is None:
-            _, fam = generators.graham_sloane_best(args.n, args.m)
-        else:
-            fam = generators.graham_sloane(args.n, args.m, args.l)
-        if args.complement:
-            fam = generators.uniform_complement(fam, args.m)
-    elif args.kind == "matchings":
-        fam = generators.hypergraph_matchings(HypergraphSpec(args.m, args.k))
+_GENS = {
+    "design": (("m", "d"), lambda a: generators.polynomial_design(DesignSpec(a.m, a.d))),
+    "graham": (("n", "m"), _graham),
+    "matchings": (("m", "k"),
+                  lambda a: generators.hypergraph_matchings(HypergraphSpec(a.m, a.k))),
+    "sidon": (("m",), lambda a: generators.sidon_cubic(a.m)),
+}
+
+
+def _cmd_gen(args):
+    made = _made(_GENS, args)
+    if isinstance(made, VectorSet):
+        _write(args.output, serialize_vectors(made))
     else:
-        vs = generators.sidon_cubic(args.m)
-        _write(args.output, serialize_vectors(vs))
-        return 0
-    _write(args.output, serialize_family(fam))
-    return 0
+        _write(args.output, serialize_family(made))
 
 
-def _cmd_eval(args) -> int:
-    c = _load_circuit(args.circuit)
-    x = parse_weighting(_read(args.weights))
-    print(format_rational(Fraction(evaluate(c, list(x)))))
-    return 0
+def _cmd_eval(args):
+    print(format_rational(Fraction(evaluate(args.circuit, list(args.weights)))))
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     c = parse_circuit(_read(args.circuit), require_valid=False)
     problems = validate(c)
     for p in problems:
         print(p)
     print("valid" if not problems else f"{len(problems)} violations")
-    return 0
 
 
-def _cmd_convert(args) -> int:
-    c = _load_circuit(args.circuit)
-    _write(args.output, serialize_circuit(convert(c, args.target)))
-    return 0
+def _cmd_convert(args):
+    _write(args.output, serialize_circuit(convert(args.circuit, args.target)))
 
 
-def _cmd_strip(args) -> int:
-    c = _load_circuit(args.circuit)
-    _write(args.output, serialize_circuit(strip_constants(c)))
-    return 0
+def _cmd_strip(args):
+    _write(args.output, serialize_circuit(strip_constants(args.circuit)))
 
 
-def _cmd_produced(args) -> int:
-    c = _load_circuit(args.circuit)
-    _write(args.output, serialize_vectors(produced_set(c)))
-    return 0
+def _cmd_produced(args):
+    _write(args.output, serialize_vectors(produced_set(args.circuit)))
 
 
 _REPORT_LINE_CAP = 50
@@ -206,74 +251,49 @@ def _print_bundle(bundle, report: _Report):
         print(f"... {len(shown) - _REPORT_LINE_CAP} more certificate lines")
 
 
-def _cmd_certify(args, sense: str) -> int:
-    c = _load_circuit(args.circuit)
-    a = _load_problem_vectors(args.problem)
-    r = parse_rational(args.factor)
-    if r < 1:
+def _certify_rows(args, report: _Report, sense: str):
+    if args.factor < 1:
         raise UsageError("--factor must be >= 1")
-    report = _Report(args.decimal)
     fn = certify.certify_max if sense == "max" else certify.certify_min
-    _print_bundle(fn(c, a, r), report)
-    return 0
+    _print_bundle(fn(args.circuit, args.problem, args.factor), report)
 
 
-def _cmd_exact_factor(args) -> int:
-    c = _load_circuit(args.circuit)
-    a = _load_problem_vectors(args.problem)
-    result = certify.exact_factor(c, a, args.sense)
+def _cmd_exact_factor(args):
+    result = certify.exact_factor(args.circuit, args.problem, args.sense)
     if result.status == "rational":
         print(f"factor: {format_rational(result.value)}")
     else:
         print(f"factor: {result.status} (witness {result.witness})")
-    return 0
 
 
-def _cmd_semantic_degree(args) -> int:
-    c = _load_circuit(args.circuit)
-    a = _load_problem_vectors(args.problem)
-    print(f"semantic degree: {format_rational(certify.semantic_degree(c, a))}")
-    return 0
+def _cmd_semantic_degree(args):
+    degree = certify.semantic_degree(args.circuit, args.problem)
+    print(f"semantic degree: {format_rational(degree)}")
 
 
-def _cmd_bool_bound(args) -> int:
-    c = _load_circuit(args.circuit)
-    a = _load_problem_vectors(args.problem)
-    print(str(certify.boolean_bound_check(c, a)).lower())
-    return 0
+def _cmd_bool_bound(args):
+    print(str(certify.boolean_bound_check(args.circuit, args.problem)).lower())
 
 
-def _cmd_arith_witness(args) -> int:
-    c = _load_circuit(args.circuit)
-    fam = parse_family(_read(args.family))
-    r = parse_rational(args.factor)
-    print(str(certify.arithmetic_witness_check(c, fam, r)).lower())
-    return 0
+def _cmd_arith_witness(args):
+    ok = certify.arithmetic_witness_check(args.circuit, args.family, args.factor)
+    print(str(ok).lower())
 
 
-def _cmd_decompose(args) -> int:
-    c = _load_circuit(args.circuit)
+def _cmd_decompose(args):
+    c = args.circuit
     if c.semiring != MINKOWSKI:
         c = convert(c, MINKOWSKI)
-    weights = [Fraction(w) for w in _parse_int_vector(args.norm)]
-    mu = sumsets.NormMeasure("cli", tuple(weights))
-    target = _parse_int_vector(args.target)
-    theta = parse_rational(args.theta)
-    d = sumsets.decompose(c, mu, target, theta)
+    mu = sumsets.NormMeasure("cli", tuple(Fraction(w) for w in args.norm))
+    d = sumsets.decompose(c, mu, args.target, args.theta)
     print(f"node: {d.node_id}")
     print(f"x: {' '.join(str(v) for v in d.x)}")
     print(f"y: {' '.join(str(v) for v in d.y)}")
     print(f"norm(x): {format_rational(d.norm_x)}")
-    return 0
 
 
-def _cmd_audit(args) -> int:
-    c = _load_circuit(args.circuit)
-    fam = parse_family(_read(args.family))
-    r = parse_rational(args.factor)
-    beta = parse_rational(args.beta)
-    rep = sumsets.audit_circuit_rectangles(c, fam, r, beta)
-    report = _Report(args.decimal)
+def _audit_rows(args, report: _Report):
+    rep = sumsets.audit_circuit_rectangles(args.circuit, args.family, args.factor, args.beta)
     report.line("rectangles", len(rep.rectangles))
     report.line("all below family", all(x.below_family for x in rep.rectangles),
                 all(x.below_family for x in rep.rectangles))
@@ -283,31 +303,30 @@ def _cmd_audit(args) -> int:
     report.line("max balanced count", rep.h_max)
     if rep.implied_bound is not None:
         report.line("implied size bound", rep.implied_bound)
-    return 3 if report.failed else 0
 
 
-def _cmd_bound(args) -> int:
-    report = _Report(args.decimal)
-    if args.kind == "design":
-        b = sumsets.design_bound(args.m, args.d, parse_rational(args.beta),
-                                 enumerate_degree=args.enumerate)
-        report.line("factor", b.factor)
-        report.line("l", b.l)
-        report.line("bound with ceil(l)", b.bound_ceil)
-        report.line("bound with floor(l)", b.bound_floor)
-        report.line("degree at ceil(l)", b.degree_ceil)
-        if b.enumerated_degree is not None:
-            report.line("enumerated degree", b.enumerated_degree,
-                        b.enumerated_degree == b.degree_ceil)
-    elif args.kind == "matching":
-        b = sumsets.matching_bound(args.m, args.k, parse_rational(args.r))
-        report.line("d", b.d)
-        report.line("bound", b.bound)
-    else:
-        b = sumsets.counting_bound(args.n, parse_rational(args.t))
-        report.line("t", b.t)
-        _counting_rows(b, report)
-    return 3 if report.failed else 0
+def _bound_design(args, report: _Report):
+    b = sumsets.design_bound(args.m, args.d, args.beta, enumerate_degree=args.enumerate)
+    report.line("factor", b.factor)
+    report.line("l", b.l)
+    report.line("bound with ceil(l)", b.bound_ceil)
+    report.line("bound with floor(l)", b.bound_floor)
+    report.line("degree at ceil(l)", b.degree_ceil)
+    if b.enumerated_degree is not None:
+        report.line("enumerated degree", b.enumerated_degree,
+                    b.enumerated_degree == b.degree_ceil)
+
+
+def _bound_matching(args, report: _Report):
+    b = sumsets.matching_bound(args.m, args.k, args.r)
+    report.line("d", b.d)
+    report.line("bound", b.bound)
+
+
+def _bound_counting(args, report: _Report):
+    b = sumsets.counting_bound(args.n, args.t)
+    report.line("t", b.t)
+    _counting_rows(b, report)
 
 
 def _counting_rows(b, report: _Report):
@@ -317,23 +336,18 @@ def _counting_rows(b, report: _Report):
                 b.strictly_fewer_circuits)
 
 
-def _cmd_greedy(args, run_fn) -> int:
-    fam = parse_family(_read(args.family))
-    x = parse_weighting(_read(args.weights))
-    run = run_fn(fam, x, args.sense)
+def _cmd_greedy(args, run_fn):
+    run = run_fn(args.family, args.weights, args.sense)
     print(f"solution: {' '.join(str(e) for e in run.solution)}")
     print(f"value: {format_rational(run.value)}")
     print(f"optimum: {format_rational(run.optimum)}")
     print(f"ratio: {format_rational(run.ratio)}")
-    return 0
 
 
-def _cmd_greedy_factor(args) -> int:
-    fam = parse_family(_read(args.family))
-    est = greedy.greedy_factor_estimate(fam, args.trials, args.seed, args.sense)
+def _cmd_greedy_factor(args):
+    est = greedy.greedy_factor_estimate(args.family, args.trials, args.seed, args.sense)
     print(f"trials: {est.trials}")
     print(f"max ratio: {format_rational(est.max_ratio)}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +404,7 @@ def _report_greedy(args, report: _Report):
         report.line("ratio", run.ratio, run.ratio >= threshold)
         report.line("bound m", m, run.ratio <= m)
     else:
-        fam = parse_family(_read(args.family))
+        fam = args.family
         est = greedy.greedy_factor_estimate(fam, args.trials, args.seed)
         bound = max(mask.bit_count() for mask in fam.masks)
         report.line("max ratio", est.max_ratio, est.max_ratio <= bound)
@@ -428,28 +442,128 @@ def _report_decomposition(args, report: _Report):
 
 
 def _report_counting(args, report: _Report):
-    _counting_rows(sumsets.counting_bound(args.n, parse_rational(args.t)), report)
+    _counting_rows(sumsets.counting_bound(args.n, args.t), report)
     frac = families.kdense_sampling_experiment(args.sample_n, args.trials, args.seed)
     report.line(f"dense fraction (n={args.sample_n})", frac, frac >= Fraction(19, 20))
 
 
-def _cmd_report(args) -> int:
-    report = _Report(args.decimal)
-    handlers = {
-        "hierarchy": _report_hierarchy,
-        "sidon": _report_sidon,
-        "greedy": _report_greedy,
-        "decomposition": _report_decomposition,
-        "counting": _report_counting,
-    }
-    handlers[args.suite](args, report)
-    if report.failed:
-        raise InternalCheck(f"report suite {args.suite} has failing rows")
-    return 0
-
-
 # ---------------------------------------------------------------------------
-# Parser
+# Command table and parser
+
+
+def _arg(*names, **options):
+    return names, options
+
+
+def _int(name: str, **options):
+    return _arg(f"--{name}", type=int, **options)
+
+
+def _commands():
+    """The command table: one (path, help, arguments, handler) row each.
+
+    A row without a handler is a group: its subcommands are the rows
+    below whose paths extend it, and its third field names the argument
+    that records which one ran. The table is built on every call, so a
+    handler replaced in this module is the one that runs.
+    """
+    circuit = _arg("circuit", type=_circuit)
+    problem = _arg("problem", type=_problem)
+    family = _arg("family", type=_family)
+    weights = _arg("weights", type=_weights)
+    factor = _arg("--factor", type=parse_rational, required=True)
+    output = _arg("-o", "--output")
+    sense = _arg("sense", choices=["max", "min"])
+    seed = _int("seed", default=0)
+    return (
+        ("build", "construct a named circuit",
+         [_arg("kind", choices=list(_BUILDS)), _int("n"), _int("k"), _int("m"), _int("d"),
+          _int("s", default=1), _int("t", default=2),
+          _arg("--minplus", action="store_true", help="minplus tag for bf"), output],
+         _cmd_build),
+        ("gen", "generate a family or vector set",
+         [_arg("kind", choices=list(_GENS)), _int("n"), _int("m"), _int("d"), _int("k"),
+          _int("l", default=None),
+          _arg("--complement", action="store_true",
+               help="emit the complement within the m-uniform layer"), output],
+         _cmd_gen),
+        ("eval", "evaluate a circuit on a weighting", [circuit, weights], _cmd_eval),
+        ("validate", "list structural violations", [_arg("circuit")], _cmd_validate),
+        ("convert", "retag a circuit into another semiring view",
+         [circuit, _arg("target"), output], _cmd_convert),
+        ("strip", "constant-free core of a tropical circuit", [circuit, output], _cmd_strip),
+        ("produced", "produced vector set of a circuit", [circuit, output], _cmd_produced),
+        ("certify-max", "certify a maximization factor", [circuit, problem, factor],
+         _rows(lambda a, report: _certify_rows(a, report, "max"))),
+        ("certify-min", "certify a minimization factor", [circuit, problem, factor],
+         _rows(lambda a, report: _certify_rows(a, report, "min"))),
+        ("exact-factor", "optimal certified factor",
+         [circuit, problem, _arg("--sense", choices=["min", "max"], required=True)],
+         _cmd_exact_factor),
+        ("semantic-degree", "semantic degree of a boolean circuit",
+         [circuit, _arg("problem", type=_problem, help="minterm vectors (or family) file")],
+         _cmd_semantic_degree),
+        ("bool-bound", "boolean version consistency check", [circuit, problem],
+         _cmd_bool_bound),
+        ("arith-witness", "arithmetic-circuit witness conditions", [circuit, family, factor],
+         _cmd_arith_witness),
+        ("decompose", "windowed sumset split of a produced vector",
+         [circuit,
+          _arg("--norm", type=_int_vector, required=True,
+               help="inner-product weights, e.g. 1,0,1"),
+          _arg("--theta", type=parse_rational, required=True),
+          _arg("--target", type=_int_vector, required=True,
+               help="produced vector, e.g. 1,1,0")],
+         _cmd_decompose),
+        ("audit", "rectangle audit of a certified circuit",
+         [circuit, family, factor, _arg("--beta", type=parse_rational, required=True)],
+         _rows(_audit_rows)),
+        ("bound", "closed-form bound calculators", "kind", None),
+        ("bound design", None,
+         [_int("m", required=True), _int("d", required=True),
+          _arg("--beta", type=parse_rational, required=True),
+          _arg("--enumerate", action="store_true")],
+         _rows(_bound_design)),
+        ("bound matching", None,
+         [_int("m", required=True), _int("k", required=True),
+          _arg("--r", type=parse_rational, required=True)],
+         _rows(_bound_matching)),
+        ("bound counting", None,
+         [_int("n", required=True), _arg("--t", type=parse_rational, required=True)],
+         _rows(_bound_counting)),
+        ("greedy", "heaviest-first greedy run", [sense, family, weights],
+         lambda a: _cmd_greedy(a, greedy.greedy_run)),
+        ("greedy-factor", "max observed greedy ratio",
+         [family, _int("trials", default=1000), seed,
+          _arg("--sense", choices=["max", "min"], default="max")],
+         _cmd_greedy_factor),
+        ("greedy-bad", "wrong-strategy baseline run", [sense, family, weights],
+         lambda a: _cmd_greedy(a, greedy.wrong_strategy_run)),
+        ("report", "consolidated acceptance-style reports", "suite", None),
+        ("report hierarchy", None, [_int("m", required=True), _int("d", required=True)],
+         _rows(_report_hierarchy)),
+        ("report sidon", None, [_int("m", required=True)], _rows(_report_sidon)),
+        ("report greedy", None,
+         [_arg("--family", type=_star_or_family, required=True,
+               help="'star' or a family file"),
+          _int("m", default=3), _int("trials", default=1000), seed],
+         _rows(_report_greedy)),
+        ("report decomposition", None, [seed, _int("circuits", default=10)],
+         _rows(_report_decomposition)),
+        ("report counting", None,
+         [_int("n", default=20), _arg("--t", type=parse_rational, default=str(2**20 // 20**3)),
+          _int("sample-n", default=8), _int("trials", default=100), seed],
+         _rows(_report_counting)),
+    )
+
+
+# flag -> (Limits field, what it overrides)
+_GUARD_FLAGS = {
+    "--max-produced": ("produced_vectors", "the produced-set vector guard"),
+    "--max-dense-ground": ("dense_ground", "the denseness ground-set guard"),
+    "--max-sidon": ("sidon_vectors", "the Sidon scan size guard"),
+    "--max-matchings": ("matchings", "the hypergraph matchings guard"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -460,177 +574,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--decimal", type=int, default=None,
                      help="also render rationals with this many decimals (display only)")
-    top.add_argument("--max-produced", type=int, dest="produced_vectors",
-                     help="override the produced-set vector guard")
-    top.add_argument("--max-dense-ground", type=int, dest="dense_ground",
-                     help="override the denseness ground-set guard")
-    top.add_argument("--max-sidon", type=int, dest="sidon_vectors",
-                     help="override the Sidon scan size guard")
-    top.add_argument("--max-matchings", type=int, dest="matchings",
-                     help="override the hypergraph matchings guard")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="construct a named circuit")
-    p.add_argument("kind", choices=["sel", "design-approx", "sidon-approx", "bf", "fw", "st-conn"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--t", type=int, default=2)
-    p.add_argument("--minplus", action="store_true", help="minplus tag for bf")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_build)
-
-    p = sub.add_parser("gen", help="generate a family or vector set")
-    p.add_argument("kind", choices=["design", "graham", "matchings", "sidon"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--complement", action="store_true",
-                   help="emit the complement within the m-uniform layer")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_gen)
-
-    p = sub.add_parser("eval", help="evaluate a circuit on a weighting")
-    p.add_argument("circuit")
-    p.add_argument("weights")
-    p.set_defaults(fn=_cmd_eval)
-
-    p = sub.add_parser("validate", help="list structural violations")
-    p.add_argument("circuit")
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("convert", help="retag a circuit into another semiring view")
-    p.add_argument("circuit")
-    p.add_argument("target")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_convert)
-
-    p = sub.add_parser("strip", help="constant-free core of a tropical circuit")
-    p.add_argument("circuit")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_strip)
-
-    p = sub.add_parser("produced", help="produced vector set of a circuit")
-    p.add_argument("circuit")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_produced)
-
-    p = sub.add_parser("certify-max", help="certify a maximization factor")
-    p.add_argument("circuit")
-    p.add_argument("problem")
-    p.add_argument("--factor", required=True)
-    p.set_defaults(fn=lambda a: _cmd_certify(a, "max"))
-
-    p = sub.add_parser("certify-min", help="certify a minimization factor")
-    p.add_argument("circuit")
-    p.add_argument("problem")
-    p.add_argument("--factor", required=True)
-    p.set_defaults(fn=lambda a: _cmd_certify(a, "min"))
-
-    p = sub.add_parser("exact-factor", help="optimal certified factor")
-    p.add_argument("circuit")
-    p.add_argument("problem")
-    p.add_argument("--sense", choices=["min", "max"], required=True)
-    p.set_defaults(fn=_cmd_exact_factor)
-
-    p = sub.add_parser("semantic-degree", help="semantic degree of a boolean circuit")
-    p.add_argument("circuit")
-    p.add_argument("problem", help="minterm vectors (or family) file")
-    p.set_defaults(fn=_cmd_semantic_degree)
-
-    p = sub.add_parser("bool-bound", help="boolean version consistency check")
-    p.add_argument("circuit")
-    p.add_argument("problem")
-    p.set_defaults(fn=_cmd_bool_bound)
-
-    p = sub.add_parser("arith-witness", help="arithmetic-circuit witness conditions")
-    p.add_argument("circuit")
-    p.add_argument("family")
-    p.add_argument("--factor", required=True)
-    p.set_defaults(fn=_cmd_arith_witness)
-
-    p = sub.add_parser("decompose", help="windowed sumset split of a produced vector")
-    p.add_argument("circuit")
-    p.add_argument("--norm", required=True, help="inner-product weights, e.g. 1,0,1")
-    p.add_argument("--theta", required=True)
-    p.add_argument("--target", required=True, help="produced vector, e.g. 1,1,0")
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("audit", help="rectangle audit of a certified circuit")
-    p.add_argument("circuit")
-    p.add_argument("family")
-    p.add_argument("--factor", required=True)
-    p.add_argument("--beta", required=True)
-    p.set_defaults(fn=_cmd_audit)
-
-    p = sub.add_parser("bound", help="closed-form bound calculators")
-    bsub = p.add_subparsers(dest="kind", required=True)
-    b = bsub.add_parser("design")
-    b.add_argument("--m", type=int, required=True)
-    b.add_argument("--d", type=int, required=True)
-    b.add_argument("--beta", required=True)
-    b.add_argument("--enumerate", action="store_true")
-    b.set_defaults(fn=_cmd_bound)
-    b = bsub.add_parser("matching")
-    b.add_argument("--m", type=int, required=True)
-    b.add_argument("--k", type=int, required=True)
-    b.add_argument("--r", required=True)
-    b.set_defaults(fn=_cmd_bound)
-    b = bsub.add_parser("counting")
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--t", required=True)
-    b.set_defaults(fn=_cmd_bound)
-
-    p = sub.add_parser("greedy", help="heaviest-first greedy run")
-    p.add_argument("sense", choices=["max", "min"])
-    p.add_argument("family")
-    p.add_argument("weights")
-    p.set_defaults(fn=lambda a: _cmd_greedy(a, greedy.greedy_run))
-
-    p = sub.add_parser("greedy-factor", help="max observed greedy ratio")
-    p.add_argument("family")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sense", choices=["max", "min"], default="max")
-    p.set_defaults(fn=_cmd_greedy_factor)
-
-    p = sub.add_parser("greedy-bad", help="wrong-strategy baseline run")
-    p.add_argument("sense", choices=["max", "min"])
-    p.add_argument("family")
-    p.add_argument("weights")
-    p.set_defaults(fn=lambda a: _cmd_greedy(a, greedy.wrong_strategy_run))
-
-    p = sub.add_parser("report", help="consolidated acceptance-style reports")
-    rsub = p.add_subparsers(dest="suite", required=True)
-    r = rsub.add_parser("hierarchy")
-    r.add_argument("--m", type=int, required=True)
-    r.add_argument("--d", type=int, required=True)
-    r.set_defaults(fn=_cmd_report)
-    r = rsub.add_parser("sidon")
-    r.add_argument("--m", type=int, required=True)
-    r.set_defaults(fn=_cmd_report)
-    r = rsub.add_parser("greedy")
-    r.add_argument("--family", required=True, help="'star' or a family file")
-    r.add_argument("--m", type=int, default=3)
-    r.add_argument("--trials", type=int, default=1000)
-    r.add_argument("--seed", type=int, default=0)
-    r.set_defaults(fn=_cmd_report)
-    r = rsub.add_parser("decomposition")
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--circuits", type=int, default=10)
-    r.set_defaults(fn=_cmd_report)
-    r = rsub.add_parser("counting")
-    r.add_argument("--n", type=int, default=20)
-    r.add_argument("--t", default=str(2**20 // 20**3))
-    r.add_argument("--sample-n", type=int, default=8)
-    r.add_argument("--trials", type=int, default=100)
-    r.add_argument("--seed", type=int, default=0)
-    r.set_defaults(fn=_cmd_report)
-
+    for flag, (field, what) in _GUARD_FLAGS.items():
+        top.add_argument(flag, type=int, dest=field, help=f"override {what}")
+    groups = {"": top.add_subparsers(dest="command", required=True)}
+    for path, help_text, arguments, handler in _commands():
+        parent, _, name = path.rpartition(" ")
+        p = groups[parent].add_parser(name, **({"help": help_text} if help_text else {}))
+        if handler is None:
+            groups[path] = p.add_subparsers(dest=arguments, required=True)
+            continue
+        for names, options in arguments:
+            p.add_argument(*names, **options)
+        p.set_defaults(fn=handler, path=path)
     return top
 
 
@@ -638,13 +593,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.decimal is not None and args.decimal < 0:
+            raise UsageError("--decimal must be >= 0")
+        changes = {field: getattr(args, field) for field, _ in _GUARD_FLAGS.values()
+                   if getattr(args, field) is not None}
+        with guards.limits(**changes):
+            args.fn(args)
+        return 0
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    fields = ("produced_vectors", "dense_ground", "sidon_vectors", "matchings")
-    changes = {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
-    try:
-        with guards.limits(**changes):
-            return args.fn(args)
     except GuardExceeded as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from math import comb
 from . import guards
 from .circuits import VectorSet
 from .errors import GuardExceeded, UsageError
-from .rationals import clear_denominators, format_rational, parse_rational
+from .rationals import clear_denominators, parse_rational
 
 def _mask_of(elements, n: int) -> int:
     mask = 0
@@ -372,17 +372,6 @@ class BooleanTable:
     def value(self, mask: int) -> int:
         return (self.bits >> mask) & 1
 
-    def true_masks(self):
-        return [m for m in range(1 << self.n) if (self.bits >> m) & 1]
-
-    def minterm_vectors(self) -> VectorSet:
-        """Minimal true points, as 0-1 vectors."""
-        mins = []
-        for m in self.true_masks():
-            if all(not self.value(m ^ (1 << i)) for i in range(self.n) if m >> i & 1):
-                mins.append(tuple((m >> i) & 1 for i in range(self.n)))
-        return VectorSet(self.n, mins)
-
     def __eq__(self, other):
         return (
             isinstance(other, BooleanTable)
@@ -455,12 +444,6 @@ def parse_family(text: str) -> SetFamily:
     n = _parse_header(lines[0], "family")
     sets = [tuple(int(tok) for tok in line.split()) for line in lines[1:]]
     return SetFamily(n, sets)
-
-
-def serialize_weighting(x: Weighting) -> str:
-    lines = [f"weights vars={len(x)}"]
-    lines.extend(format_rational(v) for v in x)
-    return "\n".join(lines) + "\n"
 
 
 def parse_weighting(text: str) -> Weighting:

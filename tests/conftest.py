@@ -18,6 +18,7 @@ import pytest
 from troplab import guards
 from troplab.builders import edge_count, edge_var
 from troplab.circuits import BOOLEAN, MAXPLUS, MINPLUS, VectorSet, produced_set
+from troplab.rationals import format_rational
 from troplab.tools import _bounded, _sample
 
 
@@ -63,6 +64,24 @@ def spanning_tree_vectors(n: int) -> VectorSet:
                 vec[ei] = 1
             vectors.append(tuple(vec))
     return VectorSet(m, vectors)
+
+
+def minterm_vectors(table) -> VectorSet:
+    """Minimal true points of a BooleanTable, as 0-1 vectors."""
+    mins = []
+    for m in range(1 << table.n):
+        if table.value(m) and all(
+            not table.value(m ^ (1 << i)) for i in range(table.n) if m >> i & 1
+        ):
+            mins.append(tuple((m >> i) & 1 for i in range(table.n)))
+    return VectorSet(table.n, mins)
+
+
+def serialize_weighting(x) -> str:
+    """Text form of a Weighting, read back by families.parse_weighting."""
+    lines = [f"weights vars={len(x)}"]
+    lines.extend(format_rational(v) for v in x)
+    return "\n".join(lines) + "\n"
 
 
 def shortest_path_oracle(n: int, s: int, t: int, weights) -> Fraction:

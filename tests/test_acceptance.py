@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    minterm_vectors,
     norm_axioms_hold,
     random_monotone_boolean_circuit,
     random_tropical_circuit,
@@ -408,7 +409,7 @@ def test_criterion_11_semantic_degree():
             degrees = {}
             for name, c in both.items():
                 b = produced_set(c)
-                minterms = boolean_function_of(b).minterm_vectors()
+                minterms = minterm_vectors(boolean_function_of(b))
                 degrees[name] = semantic_degree(c, minterms)
                 assert degrees[name] <= syntactic_degree(c)
                 copies = bounded_copy_checks(minterms, b, degrees[name])

@@ -1,11 +1,14 @@
 """CLI surface: subcommands, file round trips, exit codes, determinism."""
 
 import argparse
+import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from conftest import simple_path_vectors, spanning_tree_vectors
-from troplab import certify, cli, guards
+from troplab import certify, cli, guards, sumsets
 from troplab.cli import main
 from troplab.families import serialize_vectors
 
@@ -143,6 +146,49 @@ def test_validate_cli(tmp_path, capsys):
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "eval", "/nonexistent.ckt", "/nonexistent.w")
     assert code == 1 and "cannot read" in err
+
+
+CHAIN = (
+    "circuit minkowski vars=4\n"
+    "v1 = var 1\nv2 = var 2\nv3 = var 3\nv4 = var 4\n"
+    "g1 = mul v1 v2\ng2 = mul g1 v3\ng3 = mul g2 v4\noutput g3\n"
+)
+
+
+@pytest.mark.parametrize("command, named", [
+    ("build sel", "--n, --k"),
+    ("build sel --n 4", "--k"),
+    ("gen design", "--m, --d"),
+    ("gen graham --m 3", "--n"),
+    ("decompose chain.ckt --norm 1,a --theta 1/2 --target 1,1,1,1", "'1,a'"),
+    ("decompose chain.ckt --norm 1,1,1,1 --theta 1/2 --target 1,x,1,1", "'1,x,1,1'"),
+    ("--decimal -1 bound matching --m 16 --k 6 --r 7", "--decimal"),
+    ("build sel --n 4 --k 2 -o no-such-dir/x.ckt", "cannot write no-such-dir/x.ckt"),
+])
+def test_bad_input_is_one_usage_error_line(tmp_path, capsys, monkeypatch, command, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain.ckt").write_text(CHAIN)
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+def test_failing_rows_exit_3_with_one_line(tmp_path, capsys, monkeypatch):
+    code, _, err = run_cli(capsys, "bound", "counting", "--n", "12", "--t", "10")
+    assert (code, err) == (3, "internal check failed: bound counting has failing rows\n")
+    code, _, err = run_cli(capsys, "report", "counting", "--n", "12", "--t", "10",
+                           "--sample-n", "6", "--trials", "40")
+    assert (code, err) == (3, "internal check failed: report counting has failing rows\n")
+    fam, ckt = tmp_path / "U.fam", tmp_path / "sel.ckt"
+    fam.write_text("family vars=4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    run_cli(capsys, "build", "sel", "--n", "4", "--k", "2", "-o", str(ckt))
+    original = sumsets.audit_circuit_rectangles
+    monkeypatch.setattr(sumsets, "audit_circuit_rectangles", lambda *a: dataclasses.replace(
+        original(*a), uncovered=((1, 2),)))
+    code, out, err = run_cli(capsys, "audit", str(ckt), str(fam), "--factor", "1",
+                             "--beta", "1/2")
+    assert "uncovered members: 1  [FAIL]" in out
+    assert (code, err) == (3, "internal check failed: audit has failing rows\n")
 
 
 def test_produced_guard_exit_code(tmp_path, capsys):

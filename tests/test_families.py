@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import minterm_vectors, serialize_weighting
 from troplab.circuits import VectorSet
 from troplab.errors import GuardExceeded, UsageError
 from troplab.families import (
@@ -27,7 +28,6 @@ from troplab.families import (
     predicates,
     serialize_family,
     serialize_vectors,
-    serialize_weighting,
     similar,
 )
 from troplab.generators import graham_sloane_best, uniform_complement
@@ -231,7 +231,7 @@ def test_similar_iff_same_boolean_function():
 
 def test_minterms_of_table():
     t = boolean_function_of(VectorSet(3, [(1, 1, 0), (2, 0, 1), (1, 1, 1)]))
-    mins = t.minterm_vectors()
+    mins = minterm_vectors(t)
     assert mins.sorted_vectors() == [(1, 0, 1), (1, 1, 0)]
 
 
