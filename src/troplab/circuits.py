@@ -5,9 +5,12 @@ One DAG type carries all semantics: a node list in topological order
 are Add/Mul over two earlier nodes), a designated output, and a semiring
 tag in {minplus, maxplus, boolean, arithmetic, minkowski}.  The tag only
 selects how Add/Mul are *read*: min/+ or max/+, or/and, +/*, or
-union/Minkowski-sum on vector sets.  The set of exponent vectors a
-circuit produces is tag-independent and is the object most analyses
-work on.
+union/Minkowski-sum on vector sets.  The node list is compiled once
+into a positional program, cached on the circuit, and one fold reads
+it in any semiring: evaluate is the fold in the tag's reading, and the
+formal degree is the (max,+) reading with every leaf at 1.  The set of
+exponent vectors a circuit produces is tag-independent and is the
+object most analyses work on.
 
 Produced sets are computed on packed ints (Kronecker substitution): a
 vector v becomes the sum of v[i] << (w * i), where 2**w exceeds the
@@ -28,8 +31,8 @@ raises at the same gate with the same message as a fresh computation:
 a gate's set only grows while it is built, so the first gate whose
 final size is over the cap is the gate that raises.  A computation
 that raises caches nothing.  Two threads may fill the cache of one
-circuit at the same time; as with the cached evaluation program, both
-compute the same value on an immutable circuit, so the race is benign.
+circuit at the same time; as with the cached program, both compute
+the same value on an immutable circuit, so the race is benign.
 The same holds for the support masks and the mask index a VectorSet
 fills on first use: each is built whole and then stored, so a thread
 reads either none or a complete one.
@@ -45,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
+from operator import add, and_, mul, or_
 
 from . import guards
 from .errors import DegenerateCircuit, GuardExceeded, UsageError
@@ -315,6 +319,23 @@ def _program(c: Circuit):
     return c._program
 
 
+def _fold(prog, leaves, plus, times):
+    """Value at every position of prog, reading Add as plus and Mul as times.
+
+    leaves holds the weights followed by the constants (see _program).
+    """
+    values = []
+    append = values.append
+    for op, a, b in prog:
+        if op == _OP_LEAF:
+            append(leaves[a])
+        elif op == _OP_ADD:
+            append(plus(values[a], values[b]))
+        else:
+            append(times(values[a], values[b]))
+    return values
+
+
 def evaluate(c: Circuit, x):
     """Value of the circuit's polynomial at the weighting x.
 
@@ -329,44 +350,13 @@ def evaluate(c: Circuit, x):
         raise UsageError("minkowski circuits are evaluated via produced_set")
     _check_weights(c, x)
     prog, out, consts = _program(c)
-    values = [0] * len(prog)
-
     if c.semiring == BOOLEAN:
-        leaves = [*map(int, x), *map(int, consts)]
-        for i, (op, a, b) in enumerate(prog):
-            if op == _OP_LEAF:
-                values[i] = leaves[a]
-            elif op == _OP_ADD:
-                values[i] = values[a] | values[b]
-            else:
-                values[i] = values[a] & values[b]
-        return values[out]
-
+        return _fold(prog, [*map(int, x), *map(int, consts)], or_, and_)[out]
     if c.semiring == ARITHMETIC:
-        leaves = [*map(Fraction, x), *consts]
-        for i, (op, a, b) in enumerate(prog):
-            if op == _OP_LEAF:
-                values[i] = leaves[a]
-            elif op == _OP_ADD:
-                values[i] = values[a] + values[b]
-            else:
-                values[i] = values[a] * values[b]
-        return values[out]
-
+        return _fold(prog, [*map(Fraction, x), *consts], add, mul)[out]
     leaves, scale = clear_denominators([*x, *consts])
-    use_min = c.semiring == MINPLUS
-    for i, (op, a, b) in enumerate(prog):
-        if op == _OP_LEAF:
-            values[i] = leaves[a]
-        elif op == _OP_ADD:
-            va, vb = values[a], values[b]
-            if use_min:
-                values[i] = va if va <= vb else vb
-            else:
-                values[i] = va if va >= vb else vb
-        else:
-            values[i] = values[a] + values[b]
-    return Fraction(values[out], scale)
+    plus = min if c.semiring == MINPLUS else max
+    return Fraction(_fold(prog, leaves, plus, add)[out], scale)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +385,7 @@ def _packed_node_sets(c: Circuit, keep):
     """
     c.require_valid()
     cap = guards.current().produced_vectors
-    width = max(_node_degrees(c).values()).bit_length()
+    width = max(_node_degrees(c)).bit_length()
     last_reader = {}
     for nid, node in c.nodes:
         last_reader[nid] = nid  # a node no gate reads is its own last reader
@@ -496,88 +486,49 @@ def strip_constants(c: Circuit) -> Circuit:
     if c.is_constant_free:
         return c
 
-    ZERO = object()
-    mapped = {}
-    for nid, node in c.nodes:
-        if isinstance(node, Var):
-            mapped[nid] = nid
-        elif isinstance(node, Const):
-            mapped[nid] = ZERO
-        elif isinstance(node, Mul):
-            left, right = mapped[node.left], mapped[node.right]
-            if left is ZERO and right is ZERO:
-                mapped[nid] = ZERO
-            elif left is ZERO:
-                mapped[nid] = right
-            elif right is ZERO:
-                mapped[nid] = left
-            else:
-                mapped[nid] = nid
-        else:  # Add: min or max with 0
-            left, right = mapped[node.left], mapped[node.right]
-            if c.semiring == MINPLUS:
-                if left is ZERO or right is ZERO:
-                    mapped[nid] = ZERO
-                else:
-                    mapped[nid] = nid
-            else:
-                if left is ZERO and right is ZERO:
-                    mapped[nid] = ZERO
-                elif left is ZERO:
-                    mapped[nid] = right
-                elif right is ZERO:
-                    mapped[nid] = left
-                else:
-                    mapped[nid] = nid
-
-    if mapped[c.output] is ZERO:
+    # stand[i] is the surviving position node i stands for, None for 0.
+    # A gate survives when both sides do; a min-plus Add with a 0 side
+    # is 0; otherwise it stands for its nonzero side (0 if there is none).
+    prog, out, _ = _program(c)
+    stand = []
+    for i, (op, a, b) in enumerate(prog):
+        if op == _OP_LEAF:
+            stand.append(i if a < c.n else None)
+        elif stand[a] is not None and stand[b] is not None:
+            stand.append(i)
+        elif op == _OP_ADD and c.semiring == MINPLUS:
+            stand.append(None)
+        else:
+            stand.append(stand[b] if stand[a] is None else stand[a])
+    root = stand[out]
+    if root is None:
         raise DegenerateCircuit("circuit collapses to the constant 0")
 
-    # Rebuild surviving nodes; a node survives when some output-reachable
-    # node maps onto it.
-    surviving = {}
-    for nid, node in c.nodes:
-        if mapped[nid] is not nid:
-            continue
-        if isinstance(node, (Add, Mul)):
-            kind = type(node)
-            surviving[nid] = kind(mapped[node.left], mapped[node.right])
-        else:
-            surviving[nid] = node
-
-    root = mapped[c.output]
-    needed = set()
-    stack = [root]
-    while stack:
-        nid = stack.pop()
-        if nid in needed:
-            continue
-        needed.add(nid)
-        node = surviving[nid]
-        if isinstance(node, (Add, Mul)):
-            stack.extend((node.left, node.right))
-
-    nodes = [(nid, surviving[nid]) for nid, _ in c.nodes if nid in needed]
-    return Circuit(c.semiring, c.n, nodes, root)
+    # One reverse sweep from the root keeps the survivors it needs.
+    needed = {root}
+    nodes = []
+    for i in range(root, -1, -1):
+        if i in needed:
+            nid, node = c.nodes[i]
+            op, a, b = prog[i]
+            if op != _OP_LEAF:
+                a, b = stand[a], stand[b]
+                needed.update((a, b))
+                node = type(node)(c.nodes[a][0], c.nodes[b][0])
+            nodes.append((nid, node))
+    return Circuit(c.semiring, c.n, reversed(nodes), c.nodes[root][0])
 
 
-def _node_degrees(c: Circuit) -> dict:
-    """Formal degree of every node: inputs 1, Add = max of children, Mul = sum."""
-    deg = {}
-    for nid, node in c.nodes:
-        if isinstance(node, (Var, Const)):
-            deg[nid] = 1
-        elif isinstance(node, Add):
-            deg[nid] = max(deg[node.left], deg[node.right])
-        else:
-            deg[nid] = deg[node.left] + deg[node.right]
-    return deg
+def _node_degrees(c: Circuit) -> list:
+    """Formal degree at every position: the (max,+) reading, every leaf at 1."""
+    prog, _, consts = _program(c)
+    return _fold(prog, [1] * (c.n + len(consts)), max, add)
 
 
 def syntactic_degree(c: Circuit) -> int:
     """Formal degree of the output: inputs 1, Add = max of children, Mul = sum."""
     c.require_valid()
-    return _node_degrees(c)[c.output]
+    return _node_degrees(c)[_program(c)[1]]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import InternalCheck, UsageError
 from .families import SetFamily, is_antichain, matroid_check, optimum, uniform_size
@@ -151,21 +152,15 @@ def greedy_factor_estimate(
 ) -> FactorEstimate:
     """Max observed greedy ratio over seeded random and structured weightings."""
     rng = random.Random(seed)
-    worst = Fraction(0)
-    worst_x = None
-    count = 0
-    for w in _structured_weightings(family, rng):
+    structured = list(_structured_weightings(family, rng))
+    fill = ([rng.randint(0, 100) for _ in range(family.n)]
+            for _ in range(trials - len(structured)))
+    worst, worst_x = Fraction(0), None
+    for w in chain(structured, fill):
         run = greedy_run(family, w, sense)
-        count += 1
         if run.ratio > worst:
             worst, worst_x = run.ratio, tuple(w)
-    while count < trials:
-        w = [rng.randint(0, 100) for _ in range(family.n)]
-        run = greedy_run(family, w, sense)
-        count += 1
-        if run.ratio > worst:
-            worst, worst_x = run.ratio, tuple(w)
-    return FactorEstimate(sense, count, worst, worst_x)
+    return FactorEstimate(sense, max(trials, len(structured)), worst, worst_x)
 
 
 def matroid_failure_witness(family: SetFamily, seed: int = 0):

@@ -278,8 +278,6 @@ def audit_circuit_rectangles(
     family: SetFamily,
     r: Fraction,
     beta: Fraction,
-    *,
-    precertified: bool = False,
 ) -> AuditReport:
     """Extract support rectangles from all node sumsets and audit them.
 
@@ -292,12 +290,11 @@ def audit_circuit_rectangles(
     beta = Fraction(beta)
     if not 0 < beta < 1:
         raise UsageError("beta must lie strictly between 0 and 1")
-    if not precertified:
-        bundle = certify_max(circuit, family.characteristic_vectors(), r)
-        if not bundle.verdict:
-            raise UsageError(
-                f"circuit is not certified at factor {r}; audit precondition unmet"
-            )
+    bundle = certify_max(circuit, family.characteristic_vectors(), r)
+    if not bundle.verdict:
+        raise UsageError(
+            f"circuit is not certified at factor {r}; audit precondition unmet"
+        )
     audits = []
     for gs in residues(circuit):
         if len(gs.residue) == 0:

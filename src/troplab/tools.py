@@ -55,16 +55,21 @@ def _bounded(rng, make, cap):
         return c, b
 
 
-def random_minkowski_circuit(
-    rng, *, max_n: int = 6, max_gates: int = 15, max_produced: int = 40
-):
+# random_minkowski_circuit draws up to MAX_N variables and MAX_GATES gates,
+# and redraws a circuit with a gate set of over MAX_PRODUCED vectors.
+MAX_N = 6
+MAX_GATES = 15
+MAX_PRODUCED = 40
+
+
+def random_minkowski_circuit(rng):
     """Union/sumset circuit whose produced set has entries above 1 now and then."""
     def make():
-        n = rng.randint(2, max_n)
-        gates = rng.randint(3, max_gates)
+        n = rng.randint(2, MAX_N)
+        gates = rng.randint(3, MAX_GATES)
         consts = [0] * rng.randint(0, 1)
         return _sample(rng, MINKOWSKI, n, gates, 0.5, consts)
 
-    circuit, _ = _bounded(rng, make, max_produced)
+    circuit, _ = _bounded(rng, make, MAX_PRODUCED)
     return circuit
 

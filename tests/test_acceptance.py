@@ -247,7 +247,7 @@ def test_criterion_08_decomposition_windows():
     rng = random.Random(808)
     with _criterion(8, 120.0, "windowed sumset splits"):
         for _ in range(100):
-            c = random_minkowski_circuit(rng, max_gates=15, max_produced=40)
+            c = random_minkowski_circuit(rng)
             b = produced_set(c)
             norms = []
             while len(norms) < 5:

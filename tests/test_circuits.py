@@ -504,12 +504,51 @@ def test_strip_never_grows_random(rng):
         assert strip_constants(s) is s
 
 
+def test_strip_constants_is_the_zeroed_circuit(rng):
+    """strip_constants computes the circuit with every constant set to 0,
+    raises only when that circuit is identically 0, and keeps an
+    in-order subset of the nodes, all of them reached from the output."""
+    for _ in range(400):
+        c, _ = random_tropical_circuit(rng)
+        zeroed = _c(c.semiring, c.n, [
+            (nid, Const(Fraction(0)) if isinstance(node, Const) else node)
+            for nid, node in c.nodes], c.output)
+        try:
+            s = strip_constants(c)
+        except DegenerateCircuit:
+            # all weights 1: a nonzero produced vector has a positive value
+            assert evaluate(zeroed, [1] * c.n) == 0
+            continue
+        assert evaluate(zeroed, [1] * c.n) > 0
+        for _ in range(20):
+            x = [Fraction(rng.randint(0, 30), rng.randint(1, 4)) for _ in range(c.n)]
+            assert evaluate(s, x) == evaluate(zeroed, x)
+        ids = [nid for nid, _ in c.nodes]
+        kept = [nid for nid, _ in s.nodes]
+        assert kept == [nid for nid in ids if nid in set(kept)]
+        reached, stack = set(), [s.output]
+        while stack:
+            nid = stack.pop()
+            if nid not in reached:
+                reached.add(nid)
+                node = s.node(nid)
+                if isinstance(node, (Add, Mul)):
+                    stack += [node.left, node.right]
+        assert reached == set(kept)
+
+
 def test_syntactic_degree():
     sq = _c(BOOLEAN, 1, [("v1", Var(1)), ("g", Mul("v1", "v1"))], "g")
     assert syntactic_degree(sq) == 2
     c = _c(BOOLEAN, 3, [("v1", Var(1)), ("v2", Var(2)), ("v3", Var(3)),
                         ("m", Mul("v1", "v2")), ("a", Add("m", "v3"))], "a")
     assert syntactic_degree(c) == 2
+
+
+def test_syntactic_degree_is_the_largest_produced_degree(rng):
+    for _ in range(300):
+        c, b = random_tropical_circuit(rng, with_constants=False)
+        assert syntactic_degree(c) == max(map(sum, b))
 
 
 def test_semantics_factorization_property(rng):
