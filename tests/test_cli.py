@@ -265,7 +265,7 @@ def test_cli_output_matches_golden_transcript(tmp_path, capsys, monkeypatch):
         "g1 = mul v1 v2\ng2 = mul g1 v3\ng3 = mul g2 v4\noutput g3\n"
     )
     commands = GOLDEN.read_text().split("$ troplab ")[1:]
-    assert len(commands) == 51
+    assert len(commands) == 54
     for chunk in commands:
         command, expected = chunk.split("\n", 1)
         assert run_cli(capsys, *command.split())[:2] == (0, expected), command
