@@ -78,13 +78,13 @@ def polynomial_design(spec: DesignSpec) -> SetFamily:
     first) in lexicographic order over the canonical element order, so
     output is byte-stable.  Elements are handled by their codes (the
     canonical order, zero is 0): the field's addition and multiplication
-    tables are built once from FieldElement arithmetic, and each p(a) is
-    evaluated by Horner's rule on those tables.
+    tables are built once from `Field.add` and `Field.mul` on the codes,
+    and each p(a) is evaluated by Horner's rule on those tables.
     """
-    elements = spec.field.elements()
+    field = spec.field
     m = spec.m
-    add = [[(a + b).to_int() for b in elements] for a in elements]
-    mul = [[(a * b).to_int() for b in elements] for a in elements]
+    add = [[field.add(a, b) for b in range(m)] for a in range(m)]
+    mul = [[field.mul(a, b) for b in range(m)] for a in range(m)]
     row_starts = [grid_index(spec, row, 0) for row in range(m)]
     sets = []
     for coeffs in product(range(m), repeat=spec.d):
@@ -206,10 +206,8 @@ def sidon_cubic(m: int) -> VectorSet:
     field = Field.of(2, m)
     vectors = []
     for code in range(1 << m):
-        a_bits = [(code >> i) & 1 for i in range(m)]
-        element = field.element(a_bits)
-        cube = element * element * element
-        c_bits = list(cube.coeffs)
+        a_bits = list(field.coeffs(code))
+        c_bits = list(field.coeffs(field.mul(field.mul(code, code), code)))
         vec = (
             a_bits
             + c_bits

@@ -151,6 +151,8 @@ def greedy_factor_estimate(
     family: SetFamily, trials: int, seed: int, sense: str = "max"
 ) -> FactorEstimate:
     """Max observed greedy ratio over seeded random and structured weightings."""
+    if trials < 0:
+        raise UsageError("trials must be >= 0")
     rng = random.Random(seed)
     structured = list(_structured_weightings(family, rng))
     fill = ([rng.randint(0, 100) for _ in range(family.n)]

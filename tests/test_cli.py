@@ -164,10 +164,13 @@ CHAIN = (
     ("decompose chain.ckt --norm 1,1,1,1 --theta 1/2 --target 1,x,1,1", "'1,x,1,1'"),
     ("--decimal -1 bound matching --m 16 --k 6 --r 7", "--decimal"),
     ("build sel --n 4 --k 2 -o no-such-dir/x.ckt", "cannot write no-such-dir/x.ckt"),
+    ("greedy-factor F.fam --trials -3", "trials must be >= 0"),
+    ("report greedy --family F.fam --trials -3", "trials must be >= 0"),
 ])
 def test_bad_input_is_one_usage_error_line(tmp_path, capsys, monkeypatch, command, named):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "chain.ckt").write_text(CHAIN)
+    (tmp_path / "F.fam").write_text("family vars=4\n1 2\n3 4\n1 3\n")
     code, out, err = run_cli(capsys, *command.split())
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err

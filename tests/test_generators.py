@@ -52,17 +52,19 @@ def test_design_degree_formula(m, d):
 
 
 def _reference_design(spec):
-    """The design's members by FieldElement Horner evaluation, one point per row."""
+    """The design's members by power-sum evaluation of sum c_i a^i through
+    `Field.add` and `Field.mul`, one point per row; it shares no table and
+    no Horner loop with `polynomial_design`."""
     field = spec.field
-    elements = field.elements()
     members = []
-    for coeffs in product(elements, repeat=spec.d):
+    for coeffs in product(range(spec.m), repeat=spec.d):
         points = []
-        for row, a in enumerate(elements):
-            value = field.zero
-            for c in reversed(coeffs):
-                value = value * a + c
-            points.append(grid_index(spec, row, value.to_int()))
+        for row in range(spec.m):
+            value, power = 0, 1
+            for c in coeffs:
+                value = field.add(value, field.mul(c, power))
+                power = field.mul(power, row)
+            points.append(grid_index(spec, row, value))
         members.append(tuple(points))
     return members
 
@@ -70,8 +72,9 @@ def _reference_design(spec):
 @pytest.mark.parametrize("m,d", [
     (m, d) for m in range(2, 10) for d in range(1, min(m, 3) + 1) if m**d <= 20_000])
 def test_design_matches_field_element_horner(m, d):
-    """The int-table design equals FieldElement arithmetic, member for
-    member and in order, on every field order up to 9; 6 stays an error."""
+    """The Horner-table design equals the power-sum reference on element
+    codes, member for member, on every field order up to 9; 6 stays an
+    error."""
     if m == 6:
         with pytest.raises(UsageError, match="not a supported prime power"):
             polynomial_design(DesignSpec(m, d))
@@ -190,8 +193,9 @@ def test_sidon_block_structure():
         )
         assert all(x + y == 1 for x, y in zip(first, third))
         assert all(x + y == 1 for x, y in zip(second, fourth))
-        e = field.element(first)
-        assert (e * e * e).coeffs == tuple(second)
+        code = sum(bit << i for i, bit in enumerate(first))
+        assert field.coeffs(code) == tuple(first)
+        assert field.coeffs(field.mul(code, field.mul(code, code))) == tuple(second)
 
 
 def test_sidon_rejects_even_and_out_of_range():

@@ -7,13 +7,7 @@ from math import gcd, lcm
 import pytest
 
 from troplab.errors import GuardExceeded, UsageError
-from troplab.gf import (
-    CANONICAL_MODULI,
-    Field,
-    _search_modulus,
-    canonical_modulus,
-    power_map_is_bijective,
-)
+from troplab.gf import Field, canonical_modulus, power_map_is_bijective
 from troplab.rationals import (
     ceil_rational,
     clear_denominators,
@@ -127,9 +121,25 @@ def test_ceil_floor():
 # Fields
 
 
-def test_shipped_moduli_match_the_deterministic_search():
-    for (p, k), modulus in CANONICAL_MODULI.items():
-        assert _search_modulus(p, k) == modulus
+# canonical_modulus(p, k) for every p^k <= 2^16, constant term first,
+# as produced by the lexicographically-first search
+PINNED_MODULI = {
+    2: ["01", "111", "1101", "11001", "101001", "1100001", "11000001",
+        "110110001", "1100000001", "10010000001", "101000000001",
+        "1001000000001", "11011000000001", "100001000000001",
+        "1100000000000001", "11010100000000001"],
+    3: ["01", "101", "1201", "21001", "120001", "2100001", "20100001",
+        "201000001", "1012000001", "10200000001"],
+    5: ["01", "201", "1101", "20001", "140001", "2100001"],
+    7: ["01", "101", "2001", "11001", "310001"],
+}
+
+
+def test_canonical_moduli_are_pinned():
+    for p, moduli in PINNED_MODULI.items():
+        assert p ** (len(moduli) + 1) > 2**16 >= p ** len(moduli)
+        for k, digits in enumerate(moduli, 1):
+            assert canonical_modulus(p, k) == Field.of(p, k).modulus == tuple(map(int, digits))
 
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
@@ -139,16 +149,14 @@ SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
 @pytest.mark.parametrize("p,k", [pk for pk in SMALL_FIELDS if pk[0] ** pk[1] <= 64])
 def test_field_axioms_exhaustively(p, k):
     field = Field.of(p, k)
-    elems = field.elements()
     q = field.order
-    add = [[(elems[i] + elems[j]).to_int() for j in range(q)] for i in range(q)]
-    mul = [[(elems[i] * elems[j]).to_int() for j in range(q)] for i in range(q)]
-    one = field.one.to_int()
+    add = [[field.add(a, b) for b in range(q)] for a in range(q)]
+    mul = [[field.mul(a, b) for b in range(q)] for a in range(q)]
     for a in range(q):
         assert add[a][0] == a
-        assert mul[a][one] == a
+        assert mul[a][1] == a
         if a != 0:
-            assert mul[a][elems[a].inverse().to_int()] == one
+            assert 1 in mul[a]
         for b in range(q):
             assert add[a][b] == add[b][a]
             assert mul[a][b] == mul[b][a]
@@ -159,8 +167,7 @@ def test_field_axioms_exhaustively(p, k):
 
 
 def test_gf2_one_plus_one():
-    f = Field.of(2, 1)
-    assert (f.one + f.one).is_zero()
+    assert Field.of(2, 1).add(1, 1) == 0
 
 
 def test_cube_map_bijectivity_vs_gcd():
@@ -184,21 +191,21 @@ def test_gf4_cube_map_is_not_bijective():
 def test_field_operations():
     # GF(9) = GF(3)[x] / (x^2 + 1); a = 1 + x, b = 1 + 2x
     f = Field.of(3, 2)
-    a = f.from_int(4)
-    b = f.from_int(7)
-    assert (a.coeffs, b.coeffs) == ((1, 1), (1, 2))
-    assert (a + b).coeffs == (2, 0)
-    assert (a * b).coeffs == (2, 0)  # 1 + 3x + 2x^2 = 1 + 2(-1) = 2
-    assert a.inverse().coeffs == (2, 1)
-    assert a * a.inverse() == f.one
-    assert (a**5).coeffs == (2, 2) == (a * a * a * a * a).coeffs
-    with pytest.raises(UsageError):
-        f.zero.inverse()
-
-
-def test_mismatched_fields_rejected():
-    with pytest.raises(UsageError):
-        Field.of(2, 2).one + Field.of(2, 3).one
+    a, b = 4, 7
+    assert (f.coeffs(a), f.coeffs(b)) == ((1, 1), (1, 2))
+    assert f.coeffs(f.add(a, b)) == (2, 0)
+    assert f.coeffs(f.mul(a, b)) == (2, 0)  # 1 + 3x + 2x^2 = 1 + 2(-1) = 2
+    inverse = 5
+    assert f.coeffs(inverse) == (2, 1)
+    assert f.mul(a, inverse) == 1
+    assert [c for c in range(f.order) if f.mul(a, c) == 1] == [inverse]
+    fifth = 1
+    for _ in range(5):
+        fifth = f.mul(fifth, a)
+    assert f.coeffs(fifth) == (2, 2)
+    assert 1 not in [f.mul(0, c) for c in range(f.order)]
+    with pytest.raises(UsageError, match="inverse of zero"):
+        power_map_is_bijective(f, -1)
 
 
 def test_field_guards():
@@ -206,12 +213,16 @@ def test_field_guards():
         canonical_modulus(7, 6)  # 7^6 > 2^16
     with pytest.raises(UsageError):
         canonical_modulus(11, 1)
-    # extension beyond the shipped table still works deterministically
     assert len(canonical_modulus(2, 13)) == 14
 
 
 def test_of_order():
     assert Field.of_order(9).k == 2
     assert Field.of_order(8).p == 2
-    with pytest.raises(UsageError):
-        Field.of_order(6)
+    assert [Field.of_order(q).order for q in (2, 3, 4, 5, 7, 8, 9, 27, 49)] == [
+        2, 3, 4, 5, 7, 8, 9, 27, 49]
+    for q in (6, 11, 1, 0, -8):
+        with pytest.raises(UsageError, match="not a supported prime power"):
+            Field.of_order(q)
+    with pytest.raises(GuardExceeded):
+        Field.of_order(2**17)
