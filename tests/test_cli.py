@@ -166,11 +166,17 @@ CHAIN = (
     ("build sel --n 4 --k 2 -o no-such-dir/x.ckt", "cannot write no-such-dir/x.ckt"),
     ("greedy-factor F.fam --trials -3", "trials must be >= 0"),
     ("report greedy --family F.fam --trials -3", "trials must be >= 0"),
+    ("semantic-degree and.ckt V3.vec", "arity mismatch"),
+    ("bool-bound min.ckt V3.vec", "arity mismatch"),
 ])
 def test_bad_input_is_one_usage_error_line(tmp_path, capsys, monkeypatch, command, named):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "chain.ckt").write_text(CHAIN)
     (tmp_path / "F.fam").write_text("family vars=4\n1 2\n3 4\n1 3\n")
+    for semiring, name in (("boolean", "and.ckt"), ("minplus", "min.ckt")):
+        (tmp_path / name).write_text(
+            f"circuit {semiring} vars=2\nv1 = var 1\nv2 = var 2\ng1 = mul v1 v2\noutput g1\n")
+    (tmp_path / "V3.vec").write_text("vectors vars=3\n1 1 0\n")
     code, out, err = run_cli(capsys, *command.split())
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
