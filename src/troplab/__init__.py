@@ -51,10 +51,8 @@ from .errors import (
     UsageError,
 )
 from .families import (
-    BooleanTable,
     SetFamily,
     Weighting,
-    boolean_function_of,
     is_antichain,
     is_d_disjoint,
     is_k_dense,

@@ -84,9 +84,8 @@ from .circuits import (
     strip_constants,
     support,
 )
-from . import guards
 from .errors import InternalCheck, UsageError
-from .families import SetFamily, boolean_function_of, cover_test, is_antichain, similar
+from .families import SetFamily, cover_test, is_antichain, similar
 from .rationals import clear_denominators
 from .simplex import INFEASIBLE, OPTIMAL, LPResult, solve_lp
 
@@ -481,11 +480,14 @@ def _minterm_set_ok(a: VectorSet) -> bool:
 
 
 def boolean_versions_agree(b: VectorSet, a: VectorSet) -> bool:
-    """Same boolean function: tables when arity permits, similarity beyond."""
+    """Do b and a define the same monotone boolean function, at any arity?
+
+    Two monotone functions are equal exactly when their minimal supports
+    cover each other, so this is `similar`: every support of each set
+    contains a support of the other.
+    """
     if a.n != b.n:
         raise UsageError("arity mismatch")
-    if a.n <= guards.current().table_variables:
-        return boolean_function_of(b) == boolean_function_of(a)
     return similar(a, b)
 
 

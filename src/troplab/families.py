@@ -357,54 +357,6 @@ def cover_test(inner):
     return covers
 
 
-class BooleanTable:
-    """Truth table of a function on n <= 20 variables, packed into an int."""
-
-    __slots__ = ("n", "bits")
-
-    def __init__(self, n: int, bits: int):
-        if n > guards.current().table_variables:
-            raise GuardExceeded(
-                f"truth tables limited to {guards.current().table_variables} variables")
-        self.n = n
-        self.bits = bits
-
-    def value(self, mask: int) -> int:
-        return (self.bits >> mask) & 1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BooleanTable)
-            and self.n == other.n
-            and self.bits == other.bits
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.bits))
-
-
-def boolean_function_of(a: VectorSet) -> BooleanTable:
-    """Monotone table: true on x iff supp(x) covers the support of some vector.
-
-    The upward closure over the subset lattice is taken with n shifted
-    ORs on the 2^n-bit table, so n = 20 stays cheap.
-    """
-    n = a.n
-    if n > guards.current().table_variables:
-        raise GuardExceeded(
-            f"truth tables limited to {guards.current().table_variables} variables")
-    bits = 0
-    for mask in a.supports():
-        bits |= 1 << mask
-    total = 1 << (1 << n)
-    for i in range(n):
-        block = (1 << (1 << i)) - 1
-        period = (1 << (1 << (i + 1))) - 1
-        keep = block * ((total - 1) // period)  # bits whose index lacks bit i
-        bits |= (bits & keep) << (1 << i)
-    return BooleanTable(n, bits)
-
-
 def kdense_sampling_experiment(n: int, trials: int, seed: int) -> Fraction:
     """Fraction of random half-size families that are (n/2 - 2)-dense.
 

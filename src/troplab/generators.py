@@ -73,13 +73,11 @@ def grid_index(spec: DesignSpec, row: int, col: int) -> int:
 def polynomial_design(spec: DesignSpec) -> SetFamily:
     """One m-point set per univariate polynomial of degree < d over GF(m).
 
-    The set of p is {(a, p(a)) : a in GF(m)}: one point per row.
-    Polynomials are enumerated by coefficient vectors (constant term
-    first) in lexicographic order over the canonical element order, so
-    output is byte-stable.  Elements are handled by their codes (the
-    canonical order, zero is 0): the field's addition and multiplication
-    tables are built once from `Field.add` and `Field.mul` on the codes,
-    and each p(a) is evaluated by Horner's rule on those tables.
+    The set of p is {(a, p(a)) : a in GF(m)}: one point per row.  Each
+    tuple of d element codes (zero is 0) is read as p's coefficients,
+    leading term first, and p(a) is evaluated by Horner's rule on add
+    and mul tables built once from `Field.add` and `Field.mul`.  Members
+    come out in `SetFamily`'s mask order, whatever the enumeration order.
     """
     field = spec.field
     m = spec.m
@@ -88,11 +86,10 @@ def polynomial_design(spec: DesignSpec) -> SetFamily:
     row_starts = [grid_index(spec, row, 0) for row in range(m)]
     sets = []
     for coeffs in product(range(m), repeat=spec.d):
-        high_first = coeffs[::-1]
         points = []
         for start, times_a in zip(row_starts, mul):
             value = 0
-            for c in high_first:
+            for c in coeffs:
                 value = add[times_a[value]][c]
             points.append(start + value)
         sets.append(tuple(points))

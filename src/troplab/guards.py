@@ -16,7 +16,6 @@ class Limits:
     dense_ground: int = 24          # ground-set size for denseness checks
     sidon_vectors: int = 128        # vectors for the Sidon pair-sum scan
     matchings: int = 10**5          # perfect matchings per hypergraph family
-    table_variables: int = 20       # truth-table arity
     field_order: int = 1 << 16      # elements per finite field
 
 

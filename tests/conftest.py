@@ -2,10 +2,10 @@
 
 The oracles are deliberately independent of the library code paths
 they check: path sets come from permutation enumeration, optima from
-direct scans, tropical values from the produced-set formula, norm
-axioms from pairwise sums.  The random-circuit corpora sample with
-troplab.tools' sampler, so a seed draws the same circuits as it did
-when they lived there.
+direct scans, tropical values from the produced-set formula, truth
+tables from subset tests on every point, norm axioms from pairwise
+sums.  The random-circuit corpora sample with troplab.tools' sampler,
+so a seed draws the same circuits as it did when they lived there.
 """
 
 from __future__ import annotations
@@ -66,15 +66,27 @@ def spanning_tree_vectors(n: int) -> VectorSet:
     return VectorSet(m, vectors)
 
 
+def boolean_function_of(vectors: VectorSet) -> tuple:
+    """Truth table of the monotone function of a vector set, by brute force.
+
+    Entry `mask` is 1 exactly when the 0-1 point with support `mask` lies
+    above the support of some vector.  Supports are read off the raw
+    tuples and tested one by one, apart from troplab's cover kernel.
+    """
+    supports = {sum(1 << i for i, c in enumerate(v) if c) for v in vectors.vectors}
+    return tuple(
+        int(any(s & mask == s for s in supports)) for mask in range(1 << vectors.n)
+    )
+
+
 def minterm_vectors(table) -> VectorSet:
-    """Minimal true points of a BooleanTable, as 0-1 vectors."""
+    """Minimal true points of a truth table, as 0-1 vectors."""
+    n = len(table).bit_length() - 1
     mins = []
-    for m in range(1 << table.n):
-        if table.value(m) and all(
-            not table.value(m ^ (1 << i)) for i in range(table.n) if m >> i & 1
-        ):
-            mins.append(tuple((m >> i) & 1 for i in range(table.n)))
-    return VectorSet(table.n, mins)
+    for m in range(1 << n):
+        if table[m] and all(not table[m ^ (1 << i)] for i in range(n) if m >> i & 1):
+            mins.append(tuple((m >> i) & 1 for i in range(n)))
+    return VectorSet(n, mins)
 
 
 def serialize_weighting(x) -> str:

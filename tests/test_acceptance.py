@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    boolean_function_of,
     minterm_vectors,
     norm_axioms_hold,
     random_monotone_boolean_circuit,
@@ -62,7 +63,6 @@ from troplab.circuits import (
 from troplab.errors import InternalCheck
 from troplab.families import (
     SetFamily,
-    boolean_function_of,
     is_d_disjoint,
     is_k_dense,
     is_sidon_vectors,

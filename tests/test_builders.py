@@ -5,7 +5,12 @@ from itertools import product
 
 import pytest
 
-from conftest import shortest_path_oracle, simple_path_vectors, spanning_tree_vectors
+from conftest import (
+    boolean_function_of,
+    shortest_path_oracle,
+    simple_path_vectors,
+    spanning_tree_vectors,
+)
 from troplab.builders import (
     bellman_ford_circuit,
     design_approximator,
@@ -18,7 +23,6 @@ from troplab.builders import (
 )
 from troplab.circuits import BOOLEAN, MINPLUS, evaluate, produced_set, syntactic_degree
 from troplab.errors import UsageError
-from troplab.families import boolean_function_of
 from troplab.generators import DesignSpec, polynomial_design, sidon_cubic
 
 
@@ -118,7 +122,7 @@ def test_bellman_ford_boolean_is_stconn(n):
     # and gate-level evaluation agrees on every edge subset
     for bits in product([0, 1], repeat=edge_count(n)):
         mask = sum(b << i for i, b in enumerate(bits))
-        assert evaluate(c, list(bits)) == oracle.value(mask)
+        assert evaluate(c, list(bits)) == oracle[mask]
 
 
 def test_bellman_ford_minplus_unit_weights():
@@ -169,7 +173,7 @@ def test_spanning_tree_accepts_connected_subgraphs(n):
     tree_table = boolean_function_of(trees)
     for bits in product([0, 1], repeat=edge_count(n)):
         mask = sum(b << i for i, b in enumerate(bits))
-        assert evaluate(c, list(bits)) == tree_table.value(mask)
+        assert evaluate(c, list(bits)) == tree_table[mask]
     assert evaluate(c, [0] * edge_count(n)) == 0
 
 

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_tropical_circuit, simple_path_vectors
+from conftest import boolean_function_of, random_tropical_circuit, simple_path_vectors
 from fm_oracle import fm_cross_check
-from troplab import certify, guards
+from troplab import certify
 from troplab.builders import bellman_ford_circuit, selection_circuit
 from troplab.certify import (
     Certificate,
@@ -42,7 +42,7 @@ from troplab.circuits import (
     support,
 )
 from troplab.errors import DegenerateCircuit, UsageError
-from troplab.families import SetFamily, boolean_function_of, similar
+from troplab.families import SetFamily, similar
 from troplab.simplex import OPTIMAL, solve_lp
 
 H = Fraction(1, 2)
@@ -632,11 +632,10 @@ def _frozenset_similar(a, b):
 def test_similarity_path_matches_truth_tables_and_frozenset_reference():
     rng = random.Random(17)
     outcomes = set()
-    for _ in range(150):
-        a, b = _vector_set_pair(rng, rng.randint(4, 8))
+    for _ in range(200):
+        a, b = _vector_set_pair(rng, rng.randint(1, 8))
         by_table = boolean_function_of(b) == boolean_function_of(a)
-        with guards.limits(table_variables=3):  # forces the similarity path
-            assert boolean_versions_agree(b, a) == by_table
+        assert boolean_versions_agree(b, a) == similar(a, b) == by_table
         outcomes.add(by_table)
     assert outcomes == {True, False}
     outcomes = set()

@@ -1,18 +1,16 @@
-"""Set families, predicates, boolean tables, file formats."""
+"""Set families, predicates, similarity, the truth-table oracle, file formats."""
 
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from conftest import minterm_vectors, serialize_weighting
+from conftest import boolean_function_of, minterm_vectors, serialize_weighting
 from troplab.circuits import VectorSet
 from troplab.errors import GuardExceeded, UsageError
 from troplab.families import (
-    BooleanTable,
     SetFamily,
     Weighting,
-    boolean_function_of,
     is_antichain,
     is_d_disjoint,
     is_k_dense,
@@ -171,23 +169,21 @@ def test_similar_with_the_zero_vector():
 
 
 def test_boolean_function_examples():
-    t_and = boolean_function_of(VectorSet(2, [(1, 1)]))
-    assert [t_and.value(m) for m in range(4)] == [0, 0, 0, 1]
-    t_or = boolean_function_of(VectorSet(2, [(1, 0), (0, 1)]))
-    assert [t_or.value(m) for m in range(4)] == [0, 1, 1, 1]
+    assert boolean_function_of(VectorSet(2, [(1, 1)])) == (0, 0, 0, 1)
+    assert boolean_function_of(VectorSet(2, [(1, 0), (0, 1)])) == (0, 1, 1, 1)
     # perfect matchings of K_{2,2}: edges (1-1'),(1-2'),(2-1'),(2-2')
     matchings = VectorSet(4, [(1, 0, 0, 1), (0, 1, 1, 0)])
     table = boolean_function_of(matchings)
-    ones = sum(table.value(m) for m in range(16))
-    assert table.value(0b1001) and table.value(0b0110)
-    assert ones == 7  # 2 minterms, their 4 strict supersets, and the full set
+    assert table[0b1001] and table[0b0110]
+    assert sum(table) == 7  # 2 minterms, their 4 strict supersets, and the full set
 
 
 def _is_monotone(table):
-    for i in range(table.n):
+    n = len(table).bit_length() - 1
+    for i in range(n):
         step = 1 << i
-        for m in range(1 << table.n):
-            if not m >> i & 1 and table.value(m) > table.value(m | step):
+        for m in range(1 << n):
+            if not m >> i & 1 and table[m] > table[m | step]:
                 return False
     return True
 
@@ -208,36 +204,14 @@ def test_boolean_function_duality():
             direct = any(
                 all(mask >> i & 1 for i, c in enumerate(v) if c) for v in vs.vectors
             )
-            assert table.value(mask) == int(direct)
+            assert table[mask] == int(direct)
         assert _is_monotone(table)
-
-
-def test_similar_iff_same_boolean_function():
-    import random
-
-    rng = random.Random(6)
-    for _ in range(60):
-        n = rng.randint(1, 7)
-        mk = lambda: VectorSet(
-            n,
-            [
-                tuple(rng.randint(0, 2) for _ in range(n))
-                for _ in range(rng.randint(1, 5))
-            ],
-        )
-        a, b = mk(), mk()
-        assert similar(a, b) == (boolean_function_of(a) == boolean_function_of(b))
 
 
 def test_minterms_of_table():
     t = boolean_function_of(VectorSet(3, [(1, 1, 0), (2, 0, 1), (1, 1, 1)]))
     mins = minterm_vectors(t)
     assert mins.sorted_vectors() == [(1, 0, 1), (1, 1, 0)]
-
-
-def test_table_guard():
-    with pytest.raises(GuardExceeded):
-        BooleanTable(21, 0)
 
 
 def test_optimum_min_le_max_property():

@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -25,9 +26,17 @@ def test_defaults_and_immutability():
     lim = guards.current()
     assert lim == guards.Limits()
     assert (lim.produced_vectors, lim.dense_ground, lim.sidon_vectors, lim.matchings,
-            lim.table_variables, lim.field_order) == (10**6, 24, 128, 10**5, 20, 1 << 16)
+            lim.field_order) == (10**6, 24, 128, 10**5, 1 << 16)
     with pytest.raises(dataclasses.FrozenInstanceError):
         lim.produced_vectors = 5
+
+
+def test_every_limit_is_read_by_the_library():
+    # a field no module reads outside guards.py is a setting that does nothing
+    package = Path(guards.__file__).parent
+    sources = [path.read_text() for path in package.glob("*.py") if path.name != "guards.py"]
+    for field in dataclasses.fields(guards.Limits):
+        assert any(f".{field.name}" in text for text in sources), field.name
 
 
 def test_limits_nest_and_restore_on_raise():
