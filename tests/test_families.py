@@ -208,6 +208,23 @@ def test_boolean_function_duality():
         assert _is_monotone(table)
 
 
+def test_similar_iff_same_boolean_function():
+    import random
+
+    rng = random.Random(6)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        mk = lambda: VectorSet(
+            n,
+            [
+                tuple(rng.randint(0, 2) for _ in range(n))
+                for _ in range(rng.randint(1, 5))
+            ],
+        )
+        a, b = mk(), mk()
+        assert similar(a, b) == (boolean_function_of(a) == boolean_function_of(b))
+
+
 def test_minterms_of_table():
     t = boolean_function_of(VectorSet(3, [(1, 1, 0), (2, 0, 1), (1, 1, 1)]))
     mins = minterm_vectors(t)
